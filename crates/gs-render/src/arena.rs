@@ -17,6 +17,19 @@ use gs_core::vec::Vec3;
 /// Pixels per tile buffer.
 pub const TILE_PIXELS: usize = (TILE_SIZE * TILE_SIZE) as usize;
 
+/// One rasterization chunk's buffers: its blend scratch plus the pixels
+/// and counters of the contiguous tile range it renders, so a chunk job
+/// owns everything it writes.
+#[derive(Clone, Debug, Default)]
+pub struct TileChunk {
+    /// Blend scratch (transmittance / done flags), reused tile to tile.
+    pub scratch: TileScratch,
+    /// The chunk's tiles' pixel buffers, `TILE_PIXELS` each, tile-major.
+    pub pixels: Vec<Vec3>,
+    /// The chunk's per-tile rasterization counters.
+    pub outcomes: Vec<TileOutcome>,
+}
+
 /// All intermediate buffers of one rendered frame (see module docs).
 #[derive(Clone, Debug, Default)]
 pub struct FrameArena {
@@ -26,12 +39,8 @@ pub struct FrameArena {
     pub keys: Vec<TileKey>,
     /// Per-tile `(start, end)` ranges into `keys`.
     pub ranges: Vec<(u32, u32)>,
-    /// All tiles' pixel buffers, `TILE_PIXELS` each, tile-major.
-    pub tile_pixels: Vec<Vec3>,
-    /// Per-tile rasterization counters.
-    pub outcomes: Vec<TileOutcome>,
-    /// Per-worker-chunk blend scratch (transmittance / done flags).
-    pub scratch: Vec<TileScratch>,
+    /// Per-chunk rasterization buffers, chunk-major over the tile grid.
+    pub tiles: Vec<TileChunk>,
     /// Per-chunk buffers for the splat-parallel projection stage.
     pub project: ProjectScratch,
     /// Per-chunk histograms/cursors for the parallel binning stage.
@@ -44,14 +53,22 @@ impl FrameArena {
         FrameArena::default()
     }
 
-    /// Sizes the rasterization-stage buffers for `n_tiles` tiles rendered by
-    /// `chunks` parallel chunks. Only grows capacity; never shrinks.
-    pub fn ensure_tiles(&mut self, n_tiles: usize, chunks: usize) {
-        self.tile_pixels.resize(n_tiles * TILE_PIXELS, Vec3::ZERO);
-        self.outcomes.resize(n_tiles, TileOutcome::default());
-        if self.scratch.len() < chunks {
-            self.scratch.resize_with(chunks, TileScratch::new);
+    /// Sizes the rasterization-stage buffers for `n_tiles` tiles split into
+    /// `chunks` consecutive ranges of `n_tiles.div_ceil(chunks)` tiles (the
+    /// last ranges may be short or empty) and returns that range length.
+    /// Only grows capacity; never shrinks.
+    pub fn ensure_tiles(&mut self, n_tiles: usize, chunks: usize) -> usize {
+        let chunks = chunks.max(1);
+        let chunk = n_tiles.div_ceil(chunks);
+        if self.tiles.len() < chunks {
+            self.tiles.resize_with(chunks, TileChunk::default);
         }
+        for (c, tc) in self.tiles[..chunks].iter_mut().enumerate() {
+            let n = n_tiles.saturating_sub(c * chunk).min(chunk);
+            tc.pixels.resize(n * TILE_PIXELS, Vec3::ZERO);
+            tc.outcomes.resize(n, TileOutcome::default());
+        }
+        chunk
     }
 }
 
@@ -62,18 +79,25 @@ mod tests {
     #[test]
     fn ensure_tiles_grows_and_keeps_capacity() {
         let mut a = FrameArena::new();
-        a.ensure_tiles(12, 4);
-        assert_eq!(a.tile_pixels.len(), 12 * TILE_PIXELS);
-        assert_eq!(a.outcomes.len(), 12);
-        assert!(a.scratch.len() >= 4);
-        let cap = a.tile_pixels.capacity();
-        a.ensure_tiles(6, 2);
-        assert_eq!(a.tile_pixels.len(), 6 * TILE_PIXELS);
+        assert_eq!(a.ensure_tiles(12, 4), 3);
+        assert!(a.tiles[..4]
+            .iter()
+            .all(|t| t.pixels.len() == 3 * TILE_PIXELS));
+        assert!(a.tiles[..4].iter().all(|t| t.outcomes.len() == 3));
+        let cap = a.tiles[0].pixels.capacity();
+        // 4 tiles over 2 chunks shrink chunk 0 from 3 tiles to 2.
+        assert_eq!(a.ensure_tiles(4, 2), 2);
+        assert_eq!(a.tiles[0].pixels.len(), 2 * TILE_PIXELS);
+        assert_eq!(a.tiles[0].outcomes.len(), 2);
         assert_eq!(
-            a.tile_pixels.capacity(),
+            a.tiles[0].pixels.capacity(),
             cap,
             "shrinking must not reallocate"
         );
-        assert!(a.scratch.len() >= 4, "scratch persists");
+        assert!(a.tiles.len() >= 4, "chunk buffers persist");
+        // Uneven split: 5 tiles over 4 chunks of 2 leave an empty tail.
+        assert_eq!(a.ensure_tiles(5, 4), 2);
+        let lens: Vec<usize> = a.tiles[..4].iter().map(|t| t.outcomes.len()).collect();
+        assert_eq!(lens, [2, 2, 1, 0]);
     }
 }

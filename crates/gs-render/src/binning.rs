@@ -195,14 +195,9 @@ pub fn bin_and_sort_parallel(
     scratch.cursors.clear();
     scratch.cursors.resize(chunks * n_tiles, 0);
 
-    // Phase 1 (parallel): per-chunk tile histograms.
-    let cur_base = scratch.cursors.as_mut_ptr() as usize;
-    pool.run(chunks, |c| {
-        // SAFETY: histogram stripe `c` is unique per job index; the scratch
-        // outlives `pool.run`, which blocks until every job finished.
-        let hist = unsafe {
-            std::slice::from_raw_parts_mut((cur_base as *mut u32).add(c * n_tiles), n_tiles)
-        };
+    // Phase 1 (parallel): per-chunk tile histograms, one `n_tiles` stripe
+    // of `cursors` per chunk.
+    pool.run_chunks_mut(&mut scratch.cursors, n_tiles, |c, hist| {
         let lo = (c * chunk).min(splats.len());
         let hi = ((c + 1) * chunk).min(splats.len());
         for s in &splats[lo..hi] {
@@ -239,19 +234,14 @@ pub fn bin_and_sort_parallel(
         *range = (start, acc);
     }
 
-    // Phase 3 (parallel): scatter into the disjoint cursor windows.
+    // Phase 3 (parallel): scatter into the disjoint cursor windows. Each
+    // chunk owns its cursor stripe, but its key slots interleave with the
+    // other chunks' across tiles, so `run_chunks_mut` cannot split `keys`:
+    // the writes go through a raw pointer instead.
     keys.clear();
     keys.resize(total as usize, TileKey { key: 0, splat: 0 });
     let keys_base = keys.as_mut_ptr() as usize;
-    pool.run(chunks, |c| {
-        // SAFETY: cursor stripe `c` is unique per job; key writes go
-        // through the raw pointer (never overlapping `&mut` slices of the
-        // whole buffer) and every (chunk, tile) cursor window the prefix
-        // sum carved out is pairwise disjoint, so no slot is written twice.
-        // Both buffers outlive `pool.run`, which blocks until all jobs end.
-        let cursors = unsafe {
-            std::slice::from_raw_parts_mut((cur_base as *mut u32).add(c * n_tiles), n_tiles)
-        };
+    pool.run_chunks_mut(&mut scratch.cursors, n_tiles, |c, cursors| {
         let keys = keys_base as *mut TileKey;
         let lo = (c * chunk).min(splats.len());
         let hi = ((c + 1) * chunk).min(splats.len());
@@ -265,7 +255,13 @@ pub fn bin_and_sort_parallel(
                     let slot = cursors[tile] as usize;
                     cursors[tile] += 1;
                     debug_assert!(slot < total as usize);
-                    // SAFETY: `slot` lies in this job's disjoint window.
+                    // SAFETY: every (chunk, tile) cursor window the prefix
+                    // sum carved out is pairwise disjoint, `slot` lies in
+                    // this job's window, and writes go through the raw
+                    // pointer (never overlapping `&mut` slices of the whole
+                    // buffer), so no slot is written twice. `keys` outlives
+                    // the call, which blocks until every job finished.
+                    #[allow(unsafe_code)] // interleaved windows: see above
                     unsafe {
                         *keys.add(slot) = TileKey {
                             key: ((tile as u64) << 32) | d,
@@ -287,7 +283,10 @@ pub fn bin_and_sort_parallel(
         let thi = ((c + 1) * tchunk).min(n_tiles);
         for &(start, end) in &ranges_ro[tlo..thi] {
             // SAFETY: tile runs are disjoint, and the tiles of job `c` are
-            // disjoint from every other job's tiles.
+            // disjoint from every other job's tiles. The runs have
+            // data-dependent lengths, so `run_chunks_mut`'s fixed-length
+            // chunks cannot express this split.
+            #[allow(unsafe_code)] // variable-length runs: see above
             let run = unsafe {
                 std::slice::from_raw_parts_mut(
                     (keys_base as *mut TileKey).add(start as usize),

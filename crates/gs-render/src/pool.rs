@@ -13,6 +13,16 @@
 //! contiguous chunk of tiles writing disjoint output ranges), so the render
 //! result is independent of which worker executes which index.
 //!
+//! Partitioning mutable buffers: [`WorkerPool::run_chunks_mut`] is the one
+//! way a job gets `&mut` access to frame state. It splits a slice into
+//! consecutive `chunk_len` chunks (the `par_chunks_mut` shape) and hands
+//! job `i` exactly chunk `i`, so per-chunk outputs, scratch and sessions
+//! are plain safe borrows at the call site. Its raw-pointer split is the
+//! workspace's only partitioning `unsafe` apart from binning phases 3 and
+//! 4 (interleaved key scatter, variable-length run sort), the two splits
+//! listed in `docs/LINT_RULES.md`; the crates deny `unsafe_code`
+//! everywhere else.
+//!
 //! No allocation happens per `run` call: job dispatch is a shared
 //! `(closure pointer, index counter)` guarded by a mutex/condvar pair.
 
@@ -53,6 +63,7 @@ struct Task {
 // SAFETY: `data` points at an `F: Fn(usize) + Sync` that outlives the frame
 // (run() does not return until all jobs finished), and `Sync` makes the
 // shared borrow sound across threads.
+#[allow(unsafe_code)] // pool internals: the type-erased job hand-off
 unsafe impl Send for Task {}
 
 struct PoolState {
@@ -84,6 +95,7 @@ pub struct WorkerPool {
     handles: Vec<JoinHandle<()>>,
 }
 
+#[allow(unsafe_code)] // pool internals: the type-erased job hand-off
 unsafe fn call_shim<F: Fn(usize)>(data: *const (), index: usize) {
     // SAFETY: `data` was created from `&F` in `run` and is still borrowed
     // there while any worker can reach this shim.
@@ -150,6 +162,7 @@ impl WorkerPool {
     /// more executor (the dispatch thread used to idle through every
     /// frame, which matters for nested uses like the streaming renderer's
     /// intra-group ray fan-out).
+    #[allow(unsafe_code)] // pool internals: calls the type-erased job
     pub fn run<F: Fn(usize) + Sync>(&mut self, jobs: usize, f: F) {
         if jobs == 0 {
             return;
@@ -203,7 +216,64 @@ impl WorkerPool {
             panic!("a WorkerPool job panicked");
         }
     }
+
+    /// Splits `items` into consecutive chunks of `chunk_len` elements (the
+    /// last one may be shorter; a `chunk_len` of 0 counts as 1) and runs
+    /// `f(i, chunk_i)` for every chunk across the workers, blocking until
+    /// all finished — `par_chunks_mut` on the persistent pool. Chunk `i`
+    /// always covers `items[i·chunk_len ..]`, so the split is a function of
+    /// the arguments alone and never of scheduling.
+    ///
+    /// An empty slice runs no job. A single chunk runs inline on the
+    /// calling thread without waking the workers.
+    ///
+    /// # Panics
+    ///
+    /// Like [`WorkerPool::run`]: a panic in any chunk re-raises here after
+    /// the remaining chunks finished; the pool survives.
+    #[allow(unsafe_code)] // the one sanctioned `&mut` partitioning
+    pub fn run_chunks_mut<T, F>(&mut self, items: &mut [T], chunk_len: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync,
+    {
+        let len = items.len();
+        let chunk_len = chunk_len.max(1);
+        if len <= chunk_len {
+            if len > 0 {
+                f(0, items);
+            }
+            return;
+        }
+        let base = ChunkBase(items.as_mut_ptr());
+        self.run(len.div_ceil(chunk_len), |i| {
+            let lo = i * chunk_len;
+            let n = chunk_len.min(len - lo);
+            // SAFETY: `[lo, lo + n)` is in bounds and disjoint from every
+            // other job's range, each index runs exactly once, and `items`
+            // stays mutably borrowed until `run` returns after every job
+            // finished — so this is the only live reference to the chunk.
+            let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(lo), n) };
+            f(i, chunk);
+        });
+    }
 }
+
+/// Base pointer of the slice [`WorkerPool::run_chunks_mut`] partitions.
+struct ChunkBase<T>(*mut T);
+
+impl<T> ChunkBase<T> {
+    /// Read through a method so closures capture the whole (`Sync`)
+    /// wrapper rather than the raw-pointer field.
+    fn get(&self) -> *mut T {
+        self.0
+    }
+}
+
+// SAFETY: jobs only ever derive pairwise-disjoint chunks from the pointer,
+// so sharing it amounts to sending `&mut [T]` pieces, sound for `T: Send`.
+#[allow(unsafe_code)] // the one sanctioned `&mut` partitioning
+unsafe impl<T: Send> Sync for ChunkBase<T> {}
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
@@ -226,6 +296,7 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
+#[allow(unsafe_code)] // pool internals: calls the type-erased job
 fn worker_loop(shared: &PoolShared) {
     loop {
         let (task, index) = {
@@ -299,17 +370,71 @@ mod tests {
     fn borrows_stack_data_mutably_through_disjoint_chunks() {
         let mut pool = WorkerPool::new(3);
         let mut data = vec![0u64; 300];
-        let base = data.as_mut_ptr() as usize;
-        pool.run(3, |w| {
-            // SAFETY: chunks [100w, 100w+100) are disjoint per index.
-            let chunk =
-                unsafe { std::slice::from_raw_parts_mut((base as *mut u64).add(100 * w), 100) };
+        pool.run_chunks_mut(&mut data, 100, |w, chunk| {
             for (k, v) in chunk.iter_mut().enumerate() {
                 *v = (100 * w + k) as u64;
             }
         });
         assert!(data.iter().enumerate().all(|(i, v)| *v == i as u64));
-        drop(pool);
+    }
+
+    #[test]
+    fn uneven_tail_chunk_is_shorter() {
+        let mut pool = WorkerPool::new(2);
+        let mut data = vec![(usize::MAX, 0usize); 10];
+        pool.run_chunks_mut(&mut data, 4, |c, chunk| {
+            let n = chunk.len();
+            chunk.fill((c, n));
+        });
+        let expect: Vec<(usize, usize)> = (0..10)
+            .map(|i| (i / 4, if i < 8 { 4 } else { 2 }))
+            .collect();
+        assert_eq!(data, expect);
+    }
+
+    #[test]
+    fn chunk_len_at_least_len_runs_exactly_one_job() {
+        let mut pool = WorkerPool::new(2);
+        for chunk_len in [5, 6, 100] {
+            let calls = AtomicUsize::new(0);
+            let mut data = [1u32; 5];
+            pool.run_chunks_mut(&mut data, chunk_len, |c, chunk| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                assert_eq!((c, chunk.len()), (0, 5));
+                chunk.iter_mut().for_each(|v| *v += 1);
+            });
+            assert_eq!(calls.load(Ordering::Relaxed), 1);
+            assert_eq!(data, [2; 5]);
+        }
+    }
+
+    #[test]
+    fn empty_slice_runs_no_job() {
+        let mut pool = WorkerPool::new(2);
+        let mut data: [u8; 0] = [];
+        for chunk_len in [0, 1, 8] {
+            pool.run_chunks_mut(&mut data, chunk_len, |_, _| panic!("must not run"));
+        }
+    }
+
+    #[test]
+    fn chunk_panic_propagates_and_pool_survives() {
+        let mut pool = WorkerPool::new(2);
+        let mut data = vec![0u32; 8];
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_chunks_mut(&mut data, 2, |c, chunk| {
+                if c == 1 {
+                    panic!("boom");
+                }
+                chunk.fill(1);
+            })
+        }));
+        assert!(caught.is_err());
+        // Every other chunk still ran to completion before the re-raise.
+        assert_eq!(data, [1, 1, 0, 0, 1, 1, 1, 1]);
+        // The pool still works afterwards.
+        pool.run_chunks_mut(&mut data, 3, |_, chunk| chunk.fill(7));
+        assert_eq!(data, [7; 8]);
     }
 
     #[test]

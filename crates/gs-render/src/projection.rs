@@ -196,17 +196,12 @@ pub fn project_splats_parallel(
         scratch.chunks.resize_with(chunks, Vec::new);
     }
     let chunk = cloud.len().div_ceil(chunks);
-    let bufs_base = scratch.chunks.as_mut_ptr() as usize;
-    pool.run(chunks, |c| {
-        // SAFETY: buffer slot `c` is unique per job index and the scratch
-        // outlives `pool.run`, which blocks until every job finished.
-        let buf = unsafe { &mut *(bufs_base as *mut Vec<Splat>).add(c) };
+    pool.run_chunks_mut(&mut scratch.chunks[..chunks], 1, |c, buf| {
+        let buf = &mut buf[0];
         buf.clear();
-        let lo = c * chunk;
+        let lo = (c * chunk).min(cloud.len());
         let hi = ((c + 1) * chunk).min(cloud.len());
-        if lo < hi {
-            project_each(&cloud[lo..hi], cam, sh_degree, |_, s| buf.push(s));
-        }
+        project_each(&cloud[lo..hi], cam, sh_degree, |_, s| buf.push(s));
     });
     out.clear();
     for buf in &scratch.chunks[..chunks] {

@@ -7,7 +7,7 @@
 //! version survives as [`crate::reference`] for exactness testing and
 //! benchmarking).
 
-use crate::arena::{FrameArena, TILE_PIXELS};
+use crate::arena::{FrameArena, TileChunk, TILE_PIXELS};
 use crate::binning::{bin_and_sort_into, bin_and_sort_parallel};
 use crate::pool::WorkerPool;
 use crate::projection::{project_splats_into, project_splats_parallel, tile_grid};
@@ -183,20 +183,19 @@ impl TileRenderer {
             );
         }
 
-        // Stage 3: per-tile rasterization (parallel over tile chunks).
+        // Stage 3: per-tile rasterization. Chunk c renders tiles
+        // [c·chunk, (c+1)·chunk) into its own `TileChunk`; one chunk runs
+        // on the calling thread, more fan out over the pool.
         let threads = workers.min(n_tiles.max(1));
-        arena.ensure_tiles(n_tiles, threads);
-        let chunk = n_tiles.div_ceil(threads.max(1));
+        let chunk = arena.ensure_tiles(n_tiles, threads);
         let splats = &arena.splats[..];
         let keys = &arena.keys[..];
         let ranges = &arena.ranges[..];
-
-        if threads <= 1 || n_tiles <= 1 {
-            let scratch = &mut arena.scratch[0];
-            #[allow(clippy::needless_range_loop)]
-            for t in 0..n_tiles {
-                let buf = &mut arena.tile_pixels[t * TILE_PIXELS..(t + 1) * TILE_PIXELS];
-                arena.outcomes[t] = rasterize_tile(
+        let raster = |c: usize, tc: &mut TileChunk| {
+            let bufs = tc.pixels.chunks_exact_mut(TILE_PIXELS);
+            for (k, (outcome, buf)) in tc.outcomes.iter_mut().zip(bufs).enumerate() {
+                let t = c * chunk + k;
+                *outcome = rasterize_tile(
                     splats,
                     keys,
                     ranges[t],
@@ -204,58 +203,17 @@ impl TileRenderer {
                     width,
                     height,
                     background,
-                    scratch,
+                    &mut tc.scratch,
                     buf,
                 );
             }
+        };
+        let tiles = &mut arena.tiles[..threads];
+        if threads <= 1 {
+            raster(0, &mut tiles[0]);
         } else {
-            // Chunk c rasterizes tiles [c·chunk, (c+1)·chunk): every chunk
-            // touches disjoint ranges of the pixel/outcome/scratch buffers,
-            // reconstructed from raw base pointers inside the job closure
-            // (a `Fn(usize)` cannot hand out pre-split `&mut` slices).
-            let px_base = arena.tile_pixels.as_mut_ptr() as usize;
-            let oc_base = arena.outcomes.as_mut_ptr() as usize;
-            let sc_base = arena.scratch.as_mut_ptr() as usize;
-            let pool = WorkerPool::ensure(pool, threads);
-            pool.run(threads, |c| {
-                let lo = c * chunk;
-                let hi = ((c + 1) * chunk).min(n_tiles);
-                if lo >= hi {
-                    return;
-                }
-                // SAFETY: tile ranges [lo, hi) are disjoint across chunk
-                // indices, and scratch slot `c` is unique per job; the
-                // arena outlives `pool.run`, which blocks until all jobs
-                // finish.
-                let pixels = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        (px_base as *mut Vec3).add(lo * TILE_PIXELS),
-                        (hi - lo) * TILE_PIXELS,
-                    )
-                };
-                let outcomes = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        (oc_base as *mut crate::rasterize::TileOutcome).add(lo),
-                        hi - lo,
-                    )
-                };
-                let scratch =
-                    unsafe { &mut *(sc_base as *mut crate::rasterize::TileScratch).add(c) };
-                for t in lo..hi {
-                    let buf = &mut pixels[(t - lo) * TILE_PIXELS..(t - lo + 1) * TILE_PIXELS];
-                    outcomes[t - lo] = rasterize_tile(
-                        splats,
-                        keys,
-                        ranges[t],
-                        tile_origin(t, tiles_x),
-                        width,
-                        height,
-                        background,
-                        scratch,
-                        buf,
-                    );
-                }
-            });
+            WorkerPool::ensure(pool, threads)
+                .run_chunks_mut(tiles, 1, |c, tc| raster(c, &mut tc[0]));
         }
 
         // Composite tiles and fold stats (serial, deterministic order).
@@ -264,23 +222,24 @@ impl TileRenderer {
         let mut skipped = 0u64;
         let mut early = 0u64;
         let mut consumed = 0u64;
-        for t in 0..n_tiles {
-            let (ox, oy) = tile_origin(t, tiles_x);
-            let buf = &arena.tile_pixels[t * TILE_PIXELS..(t + 1) * TILE_PIXELS];
-            for ly in 0..TILE_SIZE {
-                for lx in 0..TILE_SIZE {
-                    let px = ox + lx;
-                    let py = oy + ly;
-                    if px < width && py < height {
-                        image.set(px, py, buf[(ly * TILE_SIZE + lx) as usize]);
+        for (c, tc) in arena.tiles[..threads].iter().enumerate() {
+            let bufs = tc.pixels.chunks_exact(TILE_PIXELS);
+            for (k, (outcome, buf)) in tc.outcomes.iter().zip(bufs).enumerate() {
+                let (ox, oy) = tile_origin(c * chunk + k, tiles_x);
+                for ly in 0..TILE_SIZE {
+                    for lx in 0..TILE_SIZE {
+                        let px = ox + lx;
+                        let py = oy + ly;
+                        if px < width && py < height {
+                            image.set(px, py, buf[(ly * TILE_SIZE + lx) as usize]);
+                        }
                     }
                 }
+                fragments += outcome.fragments;
+                skipped += outcome.skipped;
+                early += outcome.early_terminated;
+                consumed += outcome.consumed_entries;
             }
-            let outcome = &arena.outcomes[t];
-            fragments += outcome.fragments;
-            skipped += outcome.skipped;
-            early += outcome.early_terminated;
-            consumed += outcome.consumed_entries;
         }
 
         let occupied = ranges.iter().filter(|(a, b)| b > a).count() as u64;
@@ -395,6 +354,10 @@ mod tests {
         assert_eq!(big.stats, fresh.stats);
     }
 
+    fn tile_pixel_capacity(a: &FrameArena) -> usize {
+        a.tiles.iter().map(|t| t.pixels.capacity()).sum()
+    }
+
     #[test]
     fn repeated_frames_reuse_arena_capacity() {
         let scene = SceneKind::Lego.build(&SceneConfig::tiny());
@@ -410,7 +373,7 @@ mod tests {
             (
                 a.splats.capacity(),
                 a.keys.capacity(),
-                a.tile_pixels.capacity(),
+                tile_pixel_capacity(a),
             )
         };
         for _ in 0..3 {
@@ -425,7 +388,7 @@ mod tests {
             (
                 a.splats.capacity(),
                 a.keys.capacity(),
-                a.tile_pixels.capacity()
+                tile_pixel_capacity(a)
             ),
             "steady-state frames must not grow the arena"
         );

@@ -37,7 +37,7 @@
 //! 2. All *mutable* per-frame state (working-set cache model, hysteresis
 //!    tier history, scratch buffers) lives in the session's private fork
 //!    and advances only with that session's own frame sequence. The
-//!    scheduler hands each active session to exactly one pool job, so a
+//!    scheduler hands each session to exactly one pool job, so a
 //!    session's frames render serially in submission order no matter how
 //!    requests were interleaved across sessions.
 //!
@@ -329,8 +329,6 @@ pub struct FrameScheduler {
     /// Per-session camera batches of the current drain (index = session
     /// index); kept allocated across drains.
     plan: Vec<Vec<Camera>>,
-    /// Session indices with at least one request this drain, ascending.
-    active: Vec<usize>,
 }
 
 impl FrameScheduler {
@@ -343,7 +341,6 @@ impl FrameScheduler {
             pool: None,
             queue: Vec::new(),
             plan: Vec::new(),
-            active: Vec::new(),
         }
     }
 
@@ -366,9 +363,10 @@ impl FrameScheduler {
         self.queue.clear();
     }
 
-    /// Renders every queued request and empties the queue. Active
-    /// sessions render concurrently (one pool job each, one pool wakeup
-    /// total); each session's frames render serially in submission order
+    /// Renders every queued request and empties the queue. Sessions
+    /// render concurrently (one pool job each, returning at once without
+    /// requests; one pool wakeup total); each session's frames render
+    /// serially in submission order
     /// into its reusable slots — read them back via
     /// [`ClientSession::frames`]. Returns the number of frames drained.
     ///
@@ -400,9 +398,7 @@ impl FrameScheduler {
         for (session, cam) in self.queue.drain(..) {
             self.plan[session].push(cam);
         }
-        self.active.clear();
-        self.active
-            .extend((0..sessions.len()).filter(|&s| !self.plan[s].is_empty()));
+        let active = self.plan.iter().filter(|p| !p.is_empty()).count();
 
         let threads = if self.threads == 0 {
             std::thread::available_parallelism()
@@ -411,23 +407,21 @@ impl FrameScheduler {
         } else {
             self.threads
         };
-        let pool = WorkerPool::ensure(&mut self.pool, threads.min(self.active.len()));
-        // Jobs get disjoint `&mut ClientSession`s through a shared base
-        // pointer: `active` holds strictly ascending (hence unique)
-        // in-range indices, so job i's session is touched by job i alone.
-        let base = sessions.as_mut_ptr() as usize;
+        // One job per session (sessions without requests return at once),
+        // each owning its `&mut ClientSession`; the pool is only as wide
+        // as the active sessions can use.
         let plan = &self.plan;
-        let active = &self.active;
-        pool.run(active.len(), |i| {
-            let session = active[i];
-            // SAFETY: see above — indices are unique and in range, and
-            // the sessions slice outlives `run` (it blocks until every
-            // job finished).
-            let slot = unsafe { &mut *(base as *mut ClientSession).add(session) };
-            slot.render_batch(&plan[session]);
-        });
-        for &session in &self.active {
-            self.plan[session].clear();
+        WorkerPool::ensure(&mut self.pool, threads.min(active)).run_chunks_mut(
+            sessions,
+            1,
+            |session, slot| {
+                if !plan[session].is_empty() {
+                    slot[0].render_batch(&plan[session]);
+                }
+            },
+        );
+        for batch in &mut self.plan {
+            batch.clear();
         }
         for (session, slot) in sessions.iter_mut().enumerate() {
             if let Some((frame, source)) = slot.error.take() {

@@ -151,6 +151,10 @@ pub fn topological_order<F: Fn(u32) -> f32>(ray_lists: &[Vec<u32>], depth_of: F)
 /// works as before; the streaming renderer feeds flat per-chunk ray buffers
 /// without materializing one `Vec` per ray). Only the concatenation of rays
 /// matters, not how they are batched.
+///
+/// Runs entirely on the calling thread. `tests/alloc_free_order.rs` counts
+/// allocations per thread, so a parallel path added here must extend that
+/// test to count its workers' allocations too.
 pub fn topological_order_into<I, F>(
     ray_lists: I,
     depth_of: F,

@@ -952,17 +952,11 @@ impl StreamingScene {
         let mut guard = lock_unpoisoned(&self.scratch);
         let StreamScratch {
             pool,
-            pixels,
-            workloads,
-            vblends,
             groups,
             cache,
             tier_map,
             prev_tiers,
         } = &mut *guard;
-        pixels.resize(n_groups * gp, Vec3::ZERO);
-        workloads.resize(n_groups, TileWorkload::default());
-        vblends.resize(n_groups, 0);
         if groups.len() < chunks {
             groups.resize_with(chunks, GroupScratch::default);
         }
@@ -984,84 +978,19 @@ impl StreamingScene {
             None
         };
 
-        if chunks <= 1 {
-            let group_scratch = &mut groups[0];
-            group_scratch.violating.clear();
-            group_scratch.ledger.clear();
-            group_scratch.trace.clear();
-            group_scratch.degradation = DegradationReport::default();
-            group_scratch.error = None;
-            let mut ray_pool = if ray_parallel {
-                Some(WorkerPool::ensure(pool, threads))
-            } else {
-                None
-            };
-            for t in 0..n_groups {
-                let gx = t as u32 % groups_x;
-                let gy = t as u32 / groups_x;
-                let buf = &mut pixels[t * gp..(t + 1) * gp];
-                let (w, vb) = self.render_group_into(
-                    cam,
-                    gx,
-                    gy,
-                    width,
-                    height,
-                    path,
-                    kernels,
-                    tmap,
-                    group_scratch,
-                    buf,
-                    ray_pool.as_deref_mut(),
-                );
-                workloads[t] = w;
-                vblends[t] = vb;
-                if group_scratch.error.is_some() {
-                    break; // fail-fast: the frame is aborted below
-                }
-            }
-        } else {
-            // Chunk c renders groups [c·chunk, (c+1)·chunk): disjoint slices
-            // of the pixel/workload/vblend buffers, reconstructed from raw
-            // base pointers inside the `Fn(usize)` job (which cannot be
-            // handed pre-split `&mut` slices).
-            let px_base = pixels.as_mut_ptr() as usize;
-            let wl_base = workloads.as_mut_ptr() as usize;
-            let vb_base = vblends.as_mut_ptr() as usize;
-            let gs_base = groups.as_mut_ptr() as usize;
-            let pool = WorkerPool::ensure(pool, chunks);
-            pool.run(chunks, |c| {
-                let lo = c * chunk;
+        // Chunk c renders groups [c·chunk, (c+1)·chunk) into its own
+        // `GroupScratch` (pixels, workloads, ledger, trace, ...), which the
+        // serial passes below merge in chunk order. One chunk runs on the
+        // calling thread, handing the pool to the intra-group ray fan-out
+        // in ray-parallel mode; more chunks fan out over the pool.
+        let render_chunk =
+            |c: usize, scratch: &mut GroupScratch, mut ray_pool: Option<&mut WorkerPool>| {
+                let lo = (c * chunk).min(n_groups);
                 let hi = ((c + 1) * chunk).min(n_groups);
-                // SAFETY: group ranges [lo, hi) are disjoint across chunk
-                // indices and scratch slot `c` is unique per job; the
-                // buffers outlive `pool.run`, which blocks until all jobs
-                // finish.
-                let group_scratch = unsafe { &mut *(gs_base as *mut GroupScratch).add(c) };
-                group_scratch.violating.clear();
-                group_scratch.ledger.clear();
-                group_scratch.trace.clear();
-                group_scratch.degradation = DegradationReport::default();
-                group_scratch.error = None;
-                if lo >= hi {
-                    return;
-                }
-                let pixels = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        (px_base as *mut Vec3).add(lo * gp),
-                        (hi - lo) * gp,
-                    )
-                };
-                let workloads = unsafe {
-                    std::slice::from_raw_parts_mut((wl_base as *mut TileWorkload).add(lo), hi - lo)
-                };
-                let vblends = unsafe {
-                    std::slice::from_raw_parts_mut((vb_base as *mut u64).add(lo), hi - lo)
-                };
+                scratch.begin_chunk(hi - lo, gp);
                 for t in lo..hi {
-                    let gx = t as u32 % groups_x;
-                    let gy = t as u32 / groups_x;
-                    let buf = &mut pixels[(t - lo) * gp..(t - lo + 1) * gp];
-                    let (w, vb) = self.render_group_into(
+                    let (gx, gy) = (t as u32 % groups_x, t as u32 / groups_x);
+                    self.render_group_into(
                         cam,
                         gx,
                         gy,
@@ -1070,17 +999,21 @@ impl StreamingScene {
                         path,
                         kernels,
                         tmap,
-                        group_scratch,
-                        buf,
-                        None,
+                        scratch,
+                        ray_pool.as_deref_mut(),
                     );
-                    workloads[t - lo] = w;
-                    vblends[t - lo] = vb;
-                    if group_scratch.error.is_some() {
-                        return; // fail-fast: the frame is aborted below
+                    if scratch.error.is_some() {
+                        break; // fail-fast: the frame is aborted below
                     }
                 }
-            });
+            };
+        let groups = &mut groups[..chunks];
+        if chunks <= 1 {
+            let ray_pool = ray_parallel.then(|| WorkerPool::ensure(pool, threads));
+            render_chunk(0, &mut groups[0], ray_pool);
+        } else {
+            WorkerPool::ensure(pool, chunks)
+                .run_chunks_mut(groups, 1, |c, g| render_chunk(c, &mut g[0], None));
         }
 
         // A failed group aborts the frame *before* the assembly and cache
@@ -1090,7 +1023,7 @@ impl StreamingScene {
         // smallest group index is the error the serial walk would hit),
         // keeping the surfaced error identical for any worker count.
         let mut first_err: Option<(usize, StoreError)> = None;
-        for chunk_scratch in groups[..chunks].iter_mut() {
+        for chunk_scratch in groups.iter_mut() {
             if let Some((gi, e)) = chunk_scratch.error.take() {
                 match &first_err {
                     Some((best, _)) if *best <= gi => {}
@@ -1117,25 +1050,27 @@ impl StreamingScene {
         violations.flags.resize(self.source.len(), false);
         violations.violating_blends = 0;
         violations.total_blends = 0;
-        for t in 0..n_groups {
-            let gx = t as u32 % groups_x;
-            let gy = t as u32 / groups_x;
-            let ox = gx * gsz;
-            let oy = gy * gsz;
-            let n = gsz as usize;
-            let group_pixels = &pixels[t * gp..(t + 1) * gp];
-            for ly in 0..gsz {
-                for lx in 0..gsz {
-                    let px = ox + lx;
-                    let py = oy + ly;
-                    if px < width && py < height {
-                        image.set(px, py, group_pixels[(ly as usize) * n + lx as usize]);
+        let n = gsz as usize;
+        for (c, chunk_scratch) in groups.iter().enumerate() {
+            let tiles = chunk_scratch.workloads.iter().zip(&chunk_scratch.vblends);
+            for (k, (w, &vb)) in tiles.enumerate() {
+                let t = c * chunk + k;
+                let ox = (t as u32 % groups_x) * gsz;
+                let oy = (t as u32 / groups_x) * gsz;
+                let group_pixels = &chunk_scratch.pixels[k * gp..(k + 1) * gp];
+                for ly in 0..gsz {
+                    for lx in 0..gsz {
+                        let px = ox + lx;
+                        let py = oy + ly;
+                        if px < width && py < height {
+                            image.set(px, py, group_pixels[(ly as usize) * n + lx as usize]);
+                        }
                     }
                 }
+                workload.tiles.push(*w);
+                violations.violating_blends += vb;
+                violations.total_blends += w.blend_fragments;
             }
-            workload.tiles.push(workloads[t]);
-            violations.violating_blends += vblends[t];
-            violations.total_blends += workloads[t].blend_fragments;
         }
         // Merge the per-worker ledgers in deterministic chunk order — the
         // frame's single source of byte truth (the per-tile byte counters
@@ -1144,7 +1079,7 @@ impl StreamingScene {
         let ledger = &mut out.ledger;
         ledger.clear();
         let mut degradation = DegradationReport::default();
-        for chunk_scratch in &groups[..chunks] {
+        for chunk_scratch in groups.iter() {
             for &gi in &chunk_scratch.violating {
                 violations.flags[gi as usize] = true;
             }
@@ -1193,7 +1128,7 @@ impl StreamingScene {
             }
             let mut rep = CacheReport::default();
             let mut t = 0usize;
-            for chunk_scratch in &groups[..chunks] {
+            for chunk_scratch in groups.iter() {
                 for op in &chunk_scratch.trace {
                     match *op {
                         TraceOp::Coarse(vid) => {
@@ -1376,12 +1311,13 @@ impl StreamingScene {
         }
     }
 
-    /// Renders one pixel group into `pixels` (a `group_size²` buffer from
-    /// the frame arena), using `scratch`'s reusable buffers; all Gaussian
-    /// fetches go through `path` and are metered into `scratch.ledger`.
-    /// Returns the group's workload (byte counters derived from the
-    /// ledger's deltas over this group) and its out-of-order blend count;
-    /// violating Gaussian ids are appended to `scratch.violating`.
+    /// Renders one pixel group as the next group of `scratch`'s chunk: its
+    /// `group_size²` pixels go to the next slot of `scratch.pixels`, its
+    /// workload (byte counters derived from the ledger's deltas over this
+    /// group) to `scratch.workloads` and its out-of-order blend count to
+    /// `scratch.vblends`; violating Gaussian ids are appended to
+    /// `scratch.violating`. All Gaussian fetches go through `path` and are
+    /// metered into `scratch.ledger`.
     ///
     /// When `pool` is given, the DDA ray grid fans out across its workers
     /// in contiguous ray-index chunks; the CSR and ordering inputs walk
@@ -1399,14 +1335,16 @@ impl StreamingScene {
         kernels: PayloadKernels,
         tier_map: Option<&[u8]>,
         scratch: &mut GroupScratch,
-        pixels: &mut [Vec3],
         pool: Option<&mut WorkerPool>,
-    ) -> (TileWorkload, u64) {
+    ) {
         let gsz = self.config.group_size;
         let rect = TileRect::of_tile(gx, gy, gsz, width, height);
         let mut w = TileWorkload::default();
         let mut violating_blends = 0u64;
         let GroupScratch {
+            pixels,
+            workloads,
+            vblends,
             ray_chunks,
             csr,
             order,
@@ -1487,18 +1425,10 @@ impl StreamingScene {
                 chunk.ends.push(chunk.voxels.len() as u32);
             }
         };
+        let chunks_live = &mut ray_chunks[..ray_jobs];
         match pool {
-            Some(pool) if ray_jobs > 1 => {
-                let base = ray_chunks.as_mut_ptr() as usize;
-                pool.run(ray_jobs, |j| {
-                    // SAFETY: chunk slot `j` is written by exactly one job,
-                    // and `ray_chunks` outlives `pool.run`, which blocks
-                    // until every job finished.
-                    let chunk = unsafe { &mut *(base as *mut RayChunk).add(j) };
-                    fill(chunk, j);
-                });
-            }
-            _ => fill(&mut ray_chunks[0], 0),
+            Some(pool) => pool.run_chunks_mut(chunks_live, 1, |j, c| fill(&mut c[0], j)),
+            None => fill(&mut chunks_live[0], 0),
         }
         let chunks_live = &ray_chunks[..ray_jobs];
         w.rays = n_rays as u32;
@@ -1806,8 +1736,11 @@ impl StreamingScene {
             w.fine_tier_dram_bytes[tt] = tier_dram_now[tt] - base_tier_dram[tt];
         }
 
-        blend.finish(self.config.background, pixels);
-        (w, violating_blends)
+        let gp = (gsz * gsz) as usize;
+        let k = workloads.len();
+        blend.finish(self.config.background, &mut pixels[k * gp..(k + 1) * gp]);
+        workloads.push(w);
+        vblends.push(violating_blends);
     }
 }
 
@@ -1818,13 +1751,7 @@ impl StreamingScene {
 #[derive(Debug, Default)]
 struct StreamScratch {
     pool: Option<WorkerPool>,
-    /// All groups' pixel partials, `group_size²` each, group-major.
-    pixels: Vec<Vec3>,
-    /// Per-group workload records.
-    workloads: Vec<TileWorkload>,
-    /// Per-group out-of-order blend counts.
-    vblends: Vec<u64>,
-    /// Per-chunk reusable working state.
+    /// Per-chunk reusable working state and outputs.
     groups: Vec<GroupScratch>,
     /// Frame-persistent working-set cache simulation (lazily built from
     /// [`StreamingConfig::cache`]); carries state across frames so
@@ -1869,9 +1796,16 @@ enum TraceOp {
     GroupEnd,
 }
 
-/// Reusable per-chunk working buffers for [`StreamingScene::render`].
+/// Reusable per-chunk working buffers and outputs for
+/// [`StreamingScene::render`]: one chunk job owns exactly one of these.
 #[derive(Debug, Default)]
 struct GroupScratch {
+    /// The chunk's groups' pixel partials, `group_size²` each, group-major.
+    pixels: Vec<Vec3>,
+    /// The chunk's per-group workload records, in group order.
+    workloads: Vec<TileWorkload>,
+    /// The chunk's per-group out-of-order blend counts, in group order.
+    vblends: Vec<u64>,
     /// Flat per-job DDA ray chunks (slot 0 serves the serial path); each
     /// holds its rays' voxel lists back to back.
     ray_chunks: Vec<RayChunk>,
@@ -1908,6 +1842,21 @@ struct GroupScratch {
     /// tagged with its global group index so the frame surfaces the
     /// error the serial walk would have hit first.
     error: Option<(usize, StoreError)>,
+}
+
+impl GroupScratch {
+    /// Resets the per-chunk outputs and accumulators for a chunk of
+    /// `groups` pixel groups of `gp` pixels each (buffers keep capacity).
+    fn begin_chunk(&mut self, groups: usize, gp: usize) {
+        self.pixels.resize(groups * gp, Vec3::ZERO);
+        self.workloads.clear();
+        self.vblends.clear();
+        self.violating.clear();
+        self.ledger.clear();
+        self.trace.clear();
+        self.degradation = DegradationReport::default();
+        self.error = None;
+    }
 }
 
 /// One DDA job's contiguous slice of a group's ray grid: the rays' voxel

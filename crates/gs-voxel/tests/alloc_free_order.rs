@@ -8,19 +8,39 @@
 //! known buffers would miss.
 //!
 //! The counting allocator is process-global, so this lives in its own
-//! integration-test binary.
+//! integration-test binary. It counts per thread: libtest's runner thread
+//! does its own bookkeeping allocations right after spawning the test
+//! thread, and this test reaches its measured window within microseconds,
+//! so a process-wide count picks those up at random on a loaded host. The
+//! ordering path is single-threaded, so every allocation it makes lands
+//! on the measuring thread's counter.
 
 use gs_voxel::order::{topological_order_into, OrderScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialized with no
+    /// destructor, so the allocator can update it without allocating.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+// The counting allocator is the one `unsafe` these tests need: it only
+// forwards to `System`, adding a counter.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -51,13 +71,13 @@ fn warm_order_scratch_performs_zero_allocations() {
     topological_order_into(&lists, depth_of, &mut scratch, &mut out);
     let warm_len = out.len();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..8 {
         let stats = topological_order_into(&lists, depth_of, &mut scratch, &mut out);
         assert_eq!(out.len(), warm_len);
         assert!(stats.edges > 0);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,

@@ -10,7 +10,9 @@
 //! allocate nothing either.
 //!
 //! The counting allocator is process-global, so this lives in its own
-//! integration-test binary.
+//! integration-test binary with a **single** `#[test]` that runs the cases
+//! in sequence: libtest runs separate tests on parallel threads, and one
+//! case's scene build would land in another case's measured window.
 
 use gs_mem::cache::CacheConfig;
 use gs_mem::TrafficLedger;
@@ -23,6 +25,9 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+// The counting allocator is the one `unsafe` these tests need: it only
+// forwards to `System`, adding a counter.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
@@ -81,28 +86,15 @@ fn scene_with(cache: Option<CacheConfig>) -> StreamingScene {
     )
 }
 
-#[test]
-fn warm_resident_render_performs_zero_allocations() {
-    let scene = scene_with(None);
-    assert_eq!(
-        allocs_over_warm_frames(&scene, 4),
-        0,
-        "steady-state resident streaming render must not allocate"
-    );
+fn resident_case() -> u64 {
+    allocs_over_warm_frames(&scene_with(None), 4)
 }
 
-#[test]
-fn warm_cached_render_performs_zero_allocations() {
-    let scene = scene_with(Some(CacheConfig::default()));
-    assert_eq!(
-        allocs_over_warm_frames(&scene, 4),
-        0,
-        "steady-state cached streaming render must not allocate"
-    );
+fn cached_case() -> u64 {
+    allocs_over_warm_frames(&scene_with(Some(CacheConfig::default())), 4)
 }
 
-#[test]
-fn warm_paged_render_performs_zero_allocations() {
+fn paged_case() -> u64 {
     // Unbounded page budget: after warm-up every page is resident and the
     // staging-buffer pool covers the largest voxel, so even the paged
     // backing renders without allocating.
@@ -112,15 +104,10 @@ fn warm_paged_render_performs_zero_allocations() {
         max_resident_pages: 0,
         ..PageConfig::default()
     });
-    assert_eq!(
-        allocs_over_warm_frames(&scene, 4),
-        0,
-        "steady-state paged streaming render must not allocate"
-    );
+    allocs_over_warm_frames(&scene, 4)
 }
 
-#[test]
-fn warm_paged_coarse_fetches_perform_zero_allocations() {
+fn paged_coarse_fetch_case() -> u64 {
     // The satellite fix in isolation: paged `fetch_coarse` used to build
     // one staging `Vec` per voxel; the return-on-drop buffer pool makes
     // the steady state allocation-free.
@@ -150,9 +137,30 @@ fn warm_paged_coarse_fetches_perform_zero_allocations() {
         }
     }
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    assert_eq!(again, checksum);
+    assert_eq!(again, checksum, "paged coarse fetch: checksum changed");
+    allocs
+}
+
+#[test]
+fn warm_streaming_paths_perform_zero_allocations() {
     assert_eq!(
-        allocs, 0,
-        "warm paged coarse fetches must not allocate (buffer pool)"
+        resident_case(),
+        0,
+        "resident case: steady-state resident streaming render must not allocate"
+    );
+    assert_eq!(
+        cached_case(),
+        0,
+        "cached case: steady-state cached streaming render must not allocate"
+    );
+    assert_eq!(
+        paged_case(),
+        0,
+        "paged case: steady-state paged streaming render must not allocate"
+    );
+    assert_eq!(
+        paged_coarse_fetch_case(),
+        0,
+        "paged coarse fetch case: warm paged coarse fetches must not allocate (buffer pool)"
     );
 }

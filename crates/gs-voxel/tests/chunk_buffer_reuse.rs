@@ -1,0 +1,48 @@
+//! Per-chunk output buffers survive mode switches.
+//!
+//! Each render chunk owns its pixel partials, workloads and blend counts,
+//! so one `StreamingScene` that alternates between ray-parallel frames
+//! (fewer groups than workers: one chunk holds every group) and
+//! group-chunked frames (several chunks, an empty tail chunk) re-sizes
+//! the same buffers back and forth. Every frame rendered into one reused
+//! `StreamingOutput` must still be byte-identical to a fresh serial
+//! render.
+
+use gs_core::camera::{Camera, Intrinsics};
+use gs_scene::{SceneConfig, SceneKind};
+use gs_voxel::{StreamingConfig, StreamingOutput, StreamingScene};
+
+#[test]
+fn alternating_ray_parallel_and_chunked_frames_match_fresh_serial_renders() {
+    let scene = SceneKind::Truck.build(&SceneConfig::tiny());
+    let eval = scene.eval_cameras[0];
+    // 48×32 at the default 32-pixel groups is 2 groups (< 4 workers:
+    // ray-parallel); the 96×72 eval camera is 9 groups in 4 chunks of
+    // 3, 3, 3 and 0 groups.
+    let small = Camera {
+        intrinsics: Intrinsics::from_fov(48, 32, eval.intrinsics.fov_x()),
+        pose: eval.pose,
+    };
+    let config = |threads| StreamingConfig {
+        voxel_size: scene.voxel_size,
+        threads,
+        ..Default::default()
+    };
+    let shared = StreamingScene::new(scene.trained.clone(), config(4));
+    let mut out = StreamingOutput::default();
+    for (frame, cam) in [small, eval, small, eval, eval, small].iter().enumerate() {
+        shared.render_into(cam, &mut out);
+        let fresh = StreamingScene::new(scene.trained.clone(), config(1)).render(cam);
+        assert_eq!(out.image, fresh.image, "frame {frame}: image");
+        assert_eq!(out.workload, fresh.workload, "frame {frame}: workload");
+        assert_eq!(
+            out.violations, fresh.violations,
+            "frame {frame}: violations"
+        );
+        assert_eq!(out.ledger, fresh.ledger, "frame {frame}: ledger");
+        assert_eq!(
+            out.degradation, fresh.degradation,
+            "frame {frame}: degradation"
+        );
+    }
+}
