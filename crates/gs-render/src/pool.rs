@@ -13,13 +13,17 @@
 //! contiguous chunk of tiles writing disjoint output ranges), so the render
 //! result is independent of which worker executes which index.
 //!
-//! Partitioning mutable buffers: [`WorkerPool::run_chunks_mut`] is the one
-//! way a job gets `&mut` access to frame state. It splits a slice into
-//! consecutive `chunk_len` chunks (the `par_chunks_mut` shape) and hands
-//! job `i` exactly chunk `i`, so per-chunk outputs, scratch and sessions
-//! are plain safe borrows at the call site. Its raw-pointer split is the
+//! Partitioning mutable buffers: two methods hand jobs `&mut` access to
+//! frame state, as plain safe borrows at the call site.
+//! [`WorkerPool::run_chunks_mut`] splits a slice into consecutive
+//! `chunk_len` chunks (the `par_chunks_mut` shape) and hands job `i`
+//! exactly chunk `i`. [`WorkerPool::run_claimed`] balances uneven items:
+//! one job per caller-supplied local (per-worker scratch), each claiming
+//! items one at a time from a shared counter — which local runs an item
+//! varies, so deterministic callers give every item its own output and
+//! read the items back in index order. Their raw-pointer splits are the
 //! workspace's only partitioning `unsafe` apart from binning phases 3 and
-//! 4 (interleaved key scatter, variable-length run sort), the two splits
+//! 4 (interleaved key scatter, variable-length run sort), the splits
 //! listed in `docs/LINT_RULES.md`; the crates deny `unsafe_code`
 //! everywhere else.
 //!
@@ -27,6 +31,7 @@
 //! `(closure pointer, index counter)` guarded by a mutex/condvar pair.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -257,9 +262,58 @@ impl WorkerPool {
             f(i, chunk);
         });
     }
+
+    /// Runs `f(local, i, &mut items[i])` for every item, with items
+    /// claimed dynamically: one job per local (`min(locals, items)` jobs),
+    /// each owning its `local` (e.g. per-worker scratch) and claiming item
+    /// indices from a shared counter until none are left. Uneven items
+    /// therefore balance across the jobs instead of leaving one job with
+    /// the heavier share of a fixed split.
+    ///
+    /// Which job (and which local) runs an item depends on scheduling, so
+    /// a caller that needs deterministic output writes each item's result
+    /// only into that item and reads the items in index order afterwards.
+    ///
+    /// Empty `items` run nothing. A single local runs every item inline,
+    /// in index order, on the calling thread without waking the workers.
+    ///
+    /// # Panics
+    ///
+    /// Like [`WorkerPool::run`]: with several locals, a panic in one item
+    /// re-raises here after the other jobs claimed and finished every
+    /// remaining item; the pool survives. A single local's panic
+    /// propagates at once.
+    #[allow(unsafe_code)] // the claimed per-item `&mut` split
+    pub fn run_claimed<L, T, F>(&mut self, locals: &mut [L], items: &mut [T], f: F)
+    where
+        L: Send,
+        T: Send,
+        F: Fn(&mut L, usize, &mut T) + Sync,
+    {
+        let len = items.len();
+        let jobs = locals.len().min(len);
+        let next = AtomicUsize::new(0);
+        let base = ChunkBase(items.as_mut_ptr());
+        self.run_chunks_mut(&mut locals[..jobs], 1, |_, local| loop {
+            // `Relaxed`: the counter only hands out distinct indices (the
+            // read-modify-write is atomic); item writes reach the caller
+            // through the pool's state mutex when each job finishes.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= len {
+                break;
+            }
+            // SAFETY: `i < len`, and the counter hands each index out
+            // exactly once, so this is the only reference to `items[i]`;
+            // `items` stays mutably borrowed until `run_chunks_mut`
+            // returns after every job finished.
+            let item = unsafe { &mut *base.get().add(i) };
+            f(&mut local[0], i, item);
+        });
+    }
 }
 
-/// Base pointer of the slice [`WorkerPool::run_chunks_mut`] partitions.
+/// Base pointer of the slice [`WorkerPool::run_chunks_mut`] partitions
+/// (and [`WorkerPool::run_claimed`] hands out item by item).
 struct ChunkBase<T>(*mut T);
 
 impl<T> ChunkBase<T> {
@@ -270,9 +324,10 @@ impl<T> ChunkBase<T> {
     }
 }
 
-// SAFETY: jobs only ever derive pairwise-disjoint chunks from the pointer,
-// so sharing it amounts to sending `&mut [T]` pieces, sound for `T: Send`.
-#[allow(unsafe_code)] // the one sanctioned `&mut` partitioning
+// SAFETY: jobs only ever derive pairwise-disjoint chunks (or single
+// claimed items) from the pointer, so sharing it amounts to sending
+// `&mut [T]` pieces, sound for `T: Send`.
+#[allow(unsafe_code)] // the sanctioned `&mut` partitionings
 unsafe impl<T: Send> Sync for ChunkBase<T> {}
 
 impl Drop for WorkerPool {
@@ -454,6 +509,83 @@ mod tests {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn claimed_items_run_exactly_once_and_locals_never_overlap() {
+        let mut pool = WorkerPool::new(3);
+        for n_items in [1usize, 2, 7, 64] {
+            // Each local carries an in-use flag and the items it ran.
+            let mut locals: Vec<(AtomicUsize, Vec<usize>)> =
+                (0..3).map(|_| (AtomicUsize::new(0), Vec::new())).collect();
+            let mut items = vec![0u32; n_items];
+            pool.run_claimed(&mut locals, &mut items, |(busy, ran), i, item| {
+                assert_eq!(busy.swap(1, Ordering::SeqCst), 0, "local used twice");
+                *item += 1;
+                ran.push(i);
+                std::thread::yield_now();
+                busy.store(0, Ordering::SeqCst);
+            });
+            assert!(items.iter().all(|&v| v == 1), "n_items={n_items}");
+            let mut all: Vec<usize> = locals.iter().flat_map(|l| l.1.clone()).collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..n_items).collect::<Vec<_>>());
+            // One job per local at most, and never more jobs than items.
+            let used = locals.iter().filter(|l| !l.1.is_empty()).count();
+            assert!(used <= n_items.min(3));
+        }
+    }
+
+    #[test]
+    fn claimed_with_more_locals_than_items_or_no_items() {
+        let mut pool = WorkerPool::new(2);
+        let mut locals = vec![0usize; 5];
+        let mut items = [10u32, 20];
+        pool.run_claimed(&mut locals, &mut items, |count, i, item| {
+            *count += 1;
+            *item += i as u32;
+        });
+        assert_eq!(items, [10, 21]);
+        assert_eq!(locals.iter().sum::<usize>(), 2);
+        let mut empty: [u32; 0] = [];
+        pool.run_claimed(&mut locals, &mut empty, |_, _, _| panic!("must not run"));
+        pool.run_claimed(&mut [] as &mut [usize], &mut items, |_, _, _| {
+            panic!("no local, no job")
+        });
+    }
+
+    #[test]
+    fn single_local_runs_items_inline_in_order() {
+        let mut pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        let mut locals = [Vec::new()];
+        let mut items = [0u8; 6];
+        pool.run_claimed(&mut locals, &mut items, |order, i, _| {
+            assert_eq!(std::thread::current().id(), caller, "woke a worker");
+            order.push(i);
+        });
+        assert_eq!(locals[0], (0..6).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn claimed_panic_propagates_after_other_items_and_pool_survives() {
+        let mut pool = WorkerPool::new(2);
+        let mut locals = [(), ()];
+        let mut items = vec![0u32; 12];
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_claimed(&mut locals, &mut items, |_, i, item| {
+                if i == 3 {
+                    panic!("boom");
+                }
+                *item = 1;
+            })
+        }));
+        assert!(caught.is_err());
+        // The other job claimed and finished every remaining item.
+        let expect: Vec<u32> = (0..12).map(|i| u32::from(i != 3)).collect();
+        assert_eq!(items, expect);
+        pool.run_claimed(&mut locals, &mut items, |_, _, item| *item = 7);
+        assert_eq!(items, [7; 12]);
     }
 
     #[test]

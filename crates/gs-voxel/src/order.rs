@@ -113,6 +113,26 @@ impl OrderScratch {
         self.edges.clear();
         self.ready.clear();
     }
+
+    /// Grows every buffer to at least `peer`'s capacity, so this scratch
+    /// can order any ray set `peer` already ordered without allocating.
+    pub(crate) fn reserve_like(&mut self, peer: &OrderScratch) {
+        reserve_to(&mut self.local, peer.local.capacity());
+        reserve_to(&mut self.stamp, peer.stamp.capacity());
+        reserve_to(&mut self.ids, peer.ids.capacity());
+        reserve_to(&mut self.depth, peer.depth.capacity());
+        reserve_to(&mut self.in_degree, peer.in_degree.capacity());
+        reserve_to(&mut self.edges, peer.edges.capacity());
+        reserve_to(&mut self.adj_off, peer.adj_off.capacity());
+        reserve_to(&mut self.emitted, peer.emitted.capacity());
+        let ready = peer.ready.capacity().saturating_sub(self.ready.len());
+        self.ready.reserve_exact(ready);
+    }
+}
+
+/// Grows `v`'s capacity to at least `cap` (no-op when it already has it).
+pub(crate) fn reserve_to<T>(v: &mut Vec<T>, cap: usize) {
+    v.reserve_exact(cap.saturating_sub(v.len()));
 }
 
 /// Converts a reference depth to monotone, totally ordered key bits

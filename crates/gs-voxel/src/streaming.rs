@@ -20,6 +20,13 @@
 //!   `u64` bitset words, so the "any live pixel?" test is
 //!   `mask & !done != 0` per word and stride dilation is a precomputed
 //!   per-pixel span table ([`MaskScratch`]) instead of a stride² loop;
+//! * groups are claimed dynamically by the workers of the shared
+//!   [`gs_render::pool::WorkerPool`] (`run_claimed`): each worker owns its
+//!   working scratch, each group writes only its own output slot
+//!   (pixels, workload, ledger, fetch trace, violations, degradation,
+//!   error), and the frame reads the slots back in group order — so a
+//!   frame never waits on a fixed heavier share of groups, and which
+//!   worker rendered a group is unobservable;
 //! * when the frame has fewer pixel groups than worker threads, each
 //!   group's DDA ray grid is split across the shared
 //!   [`gs_render::pool::WorkerPool`] (rays are independent; the CSR/order
@@ -42,8 +49,8 @@
 //! coarse approximation (position + bounding scale as a grey isotropic
 //! stand-in) or is dropped; every such event is counted in the frame's
 //! [`DegradationReport`], which — like the ledger — is **thread-invariant**.
-//! With degradation off, the first failing group (in deterministic group
-//! order) aborts the frame with its error.
+//! With degradation off, the frame fails with the error of its
+//! lowest-index failing group (other groups may still have rendered).
 
 // Render-time paths must propagate faults, not panic — enforced
 // workspace-wide by `[workspace.lints]` (tests are exempt via a
@@ -52,7 +59,7 @@
 use crate::dda::traverse_append;
 use crate::filter::{coarse_test, fine_test, FineSplat, TileRect};
 use crate::grid::VoxelGrid;
-use crate::order::{topological_order_into, OrderScratch};
+use crate::order::{reserve_to, topological_order_into, OrderScratch};
 use crate::store::{
     lock_unpoisoned, ColumnKind, FaultPolicy, FaultStats, PageConfig, StoreError, VoxelStore,
 };
@@ -364,7 +371,7 @@ impl ViolationReport {
 /// Fault-recovery accounting of one rendered frame.
 ///
 /// Thread-invariant like the ledger: per-voxel events are summed over the
-/// worker chunks (order-independent) and the page/fault counters are a
+/// pixel groups (order-independent) and the page/fault counters are a
 /// snapshot delta over the store, whose page materializations happen in a
 /// deterministic set regardless of which worker triggers them first.
 /// All-zero (see [`DegradationReport::is_clean`]) on resident stores and
@@ -427,8 +434,8 @@ pub struct StreamingOutput {
     /// Depth-order violation measurements.
     pub violations: ViolationReport,
     /// Measured per-stage DRAM traffic: every store fetch and pixel
-    /// writeback of this frame, metered as the bytes moved (per-worker
-    /// ledgers merged in deterministic worker order). The workload's byte
+    /// writeback of this frame, metered as the bytes moved (per-group
+    /// ledgers merged in group order). The workload's byte
     /// counters are derived from this ledger, so
     /// `ledger.total() == workload.dram_bytes()` always holds. The
     /// ledger's DRAM-transaction counters carry the burst-rounded traffic
@@ -796,12 +803,12 @@ impl StreamingScene {
     }
 
     /// Renders one frame. The coarse and fine phases read **only** from the
-    /// voxel-resident [`VoxelStore`]; every fetch is metered through the
-    /// rendering worker's [`TrafficLedger`] and the merged frame ledger is
+    /// voxel-resident [`VoxelStore`]; every fetch is metered through its
+    /// pixel group's [`TrafficLedger`] and the merged frame ledger is
     /// returned in the output.
     ///
-    /// All intermediate buffers (group pixel partials, per-chunk DDA /
-    /// filter / blend scratch, per-worker ledgers) live in a frame arena
+    /// All intermediate buffers (per-group output slots with their pixels
+    /// and ledgers, per-worker DDA / filter / blend scratch) live in a frame arena
     /// and the group workers run on a persistent pool, both reused across
     /// frames: steady-state rendering allocates only the returned
     /// image/workload ([`StreamingScene::render_into`] reuses even those).
@@ -923,7 +930,6 @@ impl StreamingScene {
         let width = cam.width();
         let height = cam.height();
         let gsz = self.config.group_size;
-        let gp = (gsz * gsz) as usize;
         let groups_x = width.div_ceil(gsz);
         let groups_y = height.div_ceil(gsz);
         let n_groups = (groups_x * groups_y) as usize;
@@ -935,30 +941,33 @@ impl StreamingScene {
         } else {
             self.config.threads
         };
-        // When the frame has fewer groups than workers, group-level
-        // chunking cannot fill the machine — flip to intra-group ray
-        // parallelism instead: groups run serially (in deterministic group
-        // order) and each group's DDA ray grid fans out across the pool.
-        // Both modes are bit-identical for any thread count, so the
-        // crossover is purely a scheduling choice.
+        // When the frame has fewer groups than workers, group claiming
+        // cannot fill the machine — flip to intra-group ray parallelism
+        // instead: groups run serially (in deterministic group order) and
+        // each group's DDA ray grid fans out across the pool. Both modes
+        // are bit-identical for any thread count, so the crossover is
+        // purely a scheduling choice.
         let ray_parallel = threads > 1 && n_groups < threads;
-        let chunks = if ray_parallel {
+        let jobs = if ray_parallel {
             1
         } else {
             threads.min(n_groups).max(1)
         };
-        let chunk = n_groups.div_ceil(chunks);
 
         let mut guard = lock_unpoisoned(&self.scratch);
         let StreamScratch {
             pool,
+            workers,
             groups,
             cache,
             tier_map,
             prev_tiers,
         } = &mut *guard;
-        if groups.len() < chunks {
-            groups.resize_with(chunks, GroupScratch::default);
+        if workers.len() < jobs {
+            workers.resize_with(jobs, WorkerScratch::default);
+        }
+        if groups.len() < n_groups {
+            groups.resize_with(n_groups, GroupOut::default);
         }
 
         // Serial per-voxel tier selection (ascending voxel id): a pure
@@ -978,65 +987,57 @@ impl StreamingScene {
             None
         };
 
-        // Chunk c renders groups [c·chunk, (c+1)·chunk) into its own
-        // `GroupScratch` (pixels, workloads, ledger, trace, ...), which the
-        // serial passes below merge in chunk order. One chunk runs on the
-        // calling thread, handing the pool to the intra-group ray fan-out
-        // in ray-parallel mode; more chunks fan out over the pool.
-        let render_chunk =
-            |c: usize, scratch: &mut GroupScratch, mut ray_pool: Option<&mut WorkerPool>| {
-                let lo = (c * chunk).min(n_groups);
-                let hi = ((c + 1) * chunk).min(n_groups);
-                scratch.begin_chunk(hi - lo, gp);
-                for t in lo..hi {
-                    let (gx, gy) = (t as u32 % groups_x, t as u32 / groups_x);
-                    self.render_group_into(
-                        cam,
-                        gx,
-                        gy,
-                        width,
-                        height,
-                        path,
-                        kernels,
-                        tmap,
-                        scratch,
-                        ray_pool.as_deref_mut(),
-                    );
-                    if scratch.error.is_some() {
-                        break; // fail-fast: the frame is aborted below
-                    }
-                }
-            };
-        let groups = &mut groups[..chunks];
-        if chunks <= 1 {
-            let ray_pool = ray_parallel.then(|| WorkerPool::ensure(pool, threads));
-            render_chunk(0, &mut groups[0], ray_pool);
+        // Group t renders into its own output slot `groups[t]` (pixels,
+        // workload, ledger, trace, ...), which the serial passes below
+        // read in group order. One job runs every group on the calling
+        // thread, handing the pool to the intra-group ray fan-out in
+        // ray-parallel mode; more jobs claim groups dynamically from the
+        // pool, each with its own working scratch.
+        let render_group = |scratch: &mut WorkerScratch,
+                            t: usize,
+                            slot: &mut GroupOut,
+                            ray_pool: Option<&mut WorkerPool>| {
+            let (gx, gy) = (t as u32 % groups_x, t as u32 / groups_x);
+            self.render_group_into(
+                cam, gx, gy, width, height, path, kernels, tmap, scratch, slot, ray_pool,
+            );
+        };
+        let groups = &mut groups[..n_groups];
+        if jobs <= 1 {
+            let mut ray_pool = ray_parallel.then(|| WorkerPool::ensure(pool, threads));
+            for (t, slot) in groups.iter_mut().enumerate() {
+                render_group(&mut workers[0], t, slot, ray_pool.as_deref_mut());
+            }
         } else {
-            WorkerPool::ensure(pool, chunks)
-                .run_chunks_mut(groups, 1, |c, g| render_chunk(c, &mut g[0], None));
+            let workers = &mut workers[..jobs];
+            WorkerPool::ensure(pool, jobs)
+                .run_claimed(workers, groups, |s, t, slot| render_group(s, t, slot, None));
+            // Grow every worker to the largest one's buffers (worker 0
+            // first collects the maximum), so the next frame allocates
+            // nothing whichever groups each worker claims.
+            let (first, rest) = workers.split_at_mut(1);
+            for w in rest.iter() {
+                first[0].reserve_like(w);
+            }
+            for w in rest.iter_mut() {
+                w.reserve_like(&first[0]);
+            }
         }
 
         // A failed group aborts the frame *before* the assembly and cache
         // replay — the cache model never advances on an abandoned frame.
-        // The globally-first failing group wins (chunks cover contiguous
-        // increasing group ranges, so the per-chunk first error with the
-        // smallest group index is the error the serial walk would hit),
-        // keeping the surfaced error identical for any worker count.
-        let mut first_err: Option<(usize, StoreError)> = None;
-        for chunk_scratch in groups.iter_mut() {
-            if let Some((gi, e)) = chunk_scratch.error.take() {
-                match &first_err {
-                    Some((best, _)) if *best <= gi => {}
-                    _ => first_err = Some((gi, e)),
-                }
-            }
-        }
-        if let Some((_, e)) = first_err {
+        // The lowest-index failing group wins, so the surfaced error is
+        // the one the serial walk would hit first, for any worker count.
+        // (Every slot is rewritten each frame, so no error outlives it.)
+        if let Some(e) = groups.iter_mut().find_map(|slot| slot.error.take()) {
             return Err(e);
         }
 
-        // Assemble image, workload and violations (serial, deterministic)
-        // into the caller's output, reusing every buffer in place.
+        // Assemble image, workload, violations, ledger and degradation
+        // (serial, in group order) into the caller's output, reusing every
+        // buffer in place. The ledger is the frame's single source of byte
+        // truth; the per-tile byte counters were derived from the same
+        // per-group ledgers, so totals agree exactly.
         let image = &mut out.image;
         image.reset(width, height);
         let workload = &mut out.workload;
@@ -1050,43 +1051,32 @@ impl StreamingScene {
         violations.flags.resize(self.source.len(), false);
         violations.violating_blends = 0;
         violations.total_blends = 0;
-        let n = gsz as usize;
-        for (c, chunk_scratch) in groups.iter().enumerate() {
-            let tiles = chunk_scratch.workloads.iter().zip(&chunk_scratch.vblends);
-            for (k, (w, &vb)) in tiles.enumerate() {
-                let t = c * chunk + k;
-                let ox = (t as u32 % groups_x) * gsz;
-                let oy = (t as u32 / groups_x) * gsz;
-                let group_pixels = &chunk_scratch.pixels[k * gp..(k + 1) * gp];
-                for ly in 0..gsz {
-                    for lx in 0..gsz {
-                        let px = ox + lx;
-                        let py = oy + ly;
-                        if px < width && py < height {
-                            image.set(px, py, group_pixels[(ly as usize) * n + lx as usize]);
-                        }
-                    }
-                }
-                workload.tiles.push(*w);
-                violations.violating_blends += vb;
-                violations.total_blends += w.blend_fragments;
-            }
-        }
-        // Merge the per-worker ledgers in deterministic chunk order — the
-        // frame's single source of byte truth (the per-tile byte counters
-        // above were derived from the same per-worker ledgers, so totals
-        // agree exactly).
         let ledger = &mut out.ledger;
         ledger.clear();
         let mut degradation = DegradationReport::default();
-        for chunk_scratch in groups.iter() {
-            for &gi in &chunk_scratch.violating {
+        let n = gsz as usize;
+        for (t, slot) in groups.iter().enumerate() {
+            let ox = (t as u32 % groups_x) * gsz;
+            let oy = (t as u32 / groups_x) * gsz;
+            for ly in 0..gsz {
+                for lx in 0..gsz {
+                    let px = ox + lx;
+                    let py = oy + ly;
+                    if px < width && py < height {
+                        image.set(px, py, slot.pixels[(ly as usize) * n + lx as usize]);
+                    }
+                }
+            }
+            workload.tiles.push(slot.workload);
+            violations.violating_blends += slot.vblends;
+            violations.total_blends += slot.workload.blend_fragments;
+            for &gi in &slot.violating {
                 violations.flags[gi as usize] = true;
             }
-            ledger.merge(&chunk_scratch.ledger);
-            degradation.voxels_skipped += chunk_scratch.degradation.voxels_skipped;
-            degradation.fine_degraded += chunk_scratch.degradation.fine_degraded;
-            degradation.fine_skipped += chunk_scratch.degradation.fine_skipped;
+            ledger.merge(&slot.ledger);
+            degradation.voxels_skipped += slot.degradation.voxels_skipped;
+            degradation.fine_degraded += slot.degradation.fine_degraded;
+            degradation.fine_skipped += slot.degradation.fine_skipped;
         }
         // Page/fault counters come from the store itself as a snapshot
         // delta: which pages materialize (and therefore which reads fault)
@@ -1099,14 +1089,13 @@ impl StreamingScene {
         degradation.injected = snap.injected;
         out.degradation = degradation;
 
-        // Working-set cache simulation: replay the recorded coarse/fine
-        // fetch trace through the frame-persistent caches. Chunks cover
-        // contiguous group ranges in chunk order, so walking the chunk
-        // traces back-to-back replays the frame in global group order —
-        // the cache outcome is a pure function of that order and therefore
-        // invariant across worker-thread counts. Hits become on-chip
-        // bytes, misses become burst-rounded line fills (the only DRAM
-        // transaction traffic of the cached stages).
+        // Working-set cache simulation: replay the groups' recorded
+        // coarse/fine fetch traces, in group order, through the
+        // frame-persistent caches — the cache outcome is a pure function
+        // of that order and therefore invariant across worker-thread
+        // counts. Hits become on-chip bytes, misses become burst-rounded
+        // line fills (the only DRAM transaction traffic of the cached
+        // stages).
         out.cache = self.config.cache.map(|cache_cfg| {
             let sim = cache.get_or_insert_with(|| FrameCacheSim {
                 coarse: WorkingSetCache::new(cache_cfg),
@@ -1127,9 +1116,8 @@ impl StreamingScene {
                 base += self.store.tier_column_bytes(tt);
             }
             let mut rep = CacheReport::default();
-            let mut t = 0usize;
-            for chunk_scratch in groups.iter() {
-                for op in &chunk_scratch.trace {
+            for (w, slot) in workload.tiles.iter_mut().zip(groups.iter()) {
+                for op in &slot.trace {
                     match *op {
                         TraceOp::Coarse(vid) => {
                             let slots = self.store.slots_of(vid);
@@ -1138,7 +1126,6 @@ impl StreamingScene {
                             let o = sim.coarse.access(addr, bytes, &mut rep.coarse);
                             ledger.note_hit(Stage::VoxelCoarse, Direction::Read, o.hit_bytes);
                             ledger.note_dram(Stage::VoxelCoarse, Direction::Read, o.fill_bytes);
-                            let w = &mut workload.tiles[t];
                             w.coarse_hit_bytes += o.hit_bytes;
                             w.coarse_dram_bytes += o.fill_bytes;
                         }
@@ -1149,7 +1136,6 @@ impl StreamingScene {
                             ledger.note_hit(Stage::VoxelFine, Direction::Read, o.hit_bytes);
                             ledger.note_dram(Stage::VoxelFine, Direction::Read, o.fill_bytes);
                             ledger.note_tier_dram(0, o.fill_bytes);
-                            let w = &mut workload.tiles[t];
                             w.fine_hit_bytes += o.hit_bytes;
                             w.fine_dram_bytes += o.fill_bytes;
                             w.fine_tier_dram_bytes[0] += o.fill_bytes;
@@ -1164,16 +1150,13 @@ impl StreamingScene {
                             ledger.note_hit(Stage::VoxelFine, Direction::Read, o.hit_bytes);
                             ledger.note_dram(Stage::VoxelFine, Direction::Read, o.fill_bytes);
                             ledger.note_tier_dram(tu, o.fill_bytes);
-                            let w = &mut workload.tiles[t];
                             w.fine_hit_bytes += o.hit_bytes;
                             w.fine_dram_bytes += o.fill_bytes;
                             w.fine_tier_dram_bytes[tu] += o.fill_bytes;
                         }
-                        TraceOp::GroupEnd => t += 1,
                     }
                 }
             }
-            debug_assert_eq!(t, n_groups, "trace group markers out of sync");
             rep
         });
 
@@ -1311,13 +1294,12 @@ impl StreamingScene {
         }
     }
 
-    /// Renders one pixel group as the next group of `scratch`'s chunk: its
-    /// `group_size²` pixels go to the next slot of `scratch.pixels`, its
-    /// workload (byte counters derived from the ledger's deltas over this
-    /// group) to `scratch.workloads` and its out-of-order blend count to
-    /// `scratch.vblends`; violating Gaussian ids are appended to
-    /// `scratch.violating`. All Gaussian fetches go through `path` and are
-    /// metered into `scratch.ledger`.
+    /// Renders one pixel group into its output slot `out`: the group's
+    /// `group_size²` pixels, its workload (byte counters read back from
+    /// the slot's own ledger, which meters every fetch through `path`),
+    /// its out-of-order blend count and violating Gaussian ids, and — with
+    /// a cache configured — its fetch trace. Every field of `out` is
+    /// rewritten; `scratch` is working state only.
     ///
     /// When `pool` is given, the DDA ray grid fans out across its workers
     /// in contiguous ray-index chunks; the CSR and ordering inputs walk
@@ -1334,17 +1316,14 @@ impl StreamingScene {
         path: &FetchPath<'_>,
         kernels: PayloadKernels,
         tier_map: Option<&[u8]>,
-        scratch: &mut GroupScratch,
+        scratch: &mut WorkerScratch,
+        out: &mut GroupOut,
         pool: Option<&mut WorkerPool>,
     ) {
         let gsz = self.config.group_size;
         let rect = TileRect::of_tile(gx, gy, gsz, width, height);
         let mut w = TileWorkload::default();
-        let mut violating_blends = 0u64;
-        let GroupScratch {
-            pixels,
-            workloads,
-            vblends,
+        let WorkerScratch {
             ray_chunks,
             csr,
             order,
@@ -1353,15 +1332,23 @@ impl StreamingScene {
             survivors,
             splats,
             blend,
+        } = scratch;
+        let GroupOut {
+            pixels,
+            workload,
+            vblends,
             violating,
-            ledger,
             trace,
+            ledger,
             degradation,
             error,
-        } = scratch;
-        // Global index of this group, for deterministic first-error
-        // selection across worker chunks.
-        let group_index = (gy * width.div_ceil(gsz) + gx) as usize;
+        } = out;
+        *vblends = 0;
+        violating.clear();
+        trace.clear();
+        ledger.clear();
+        *degradation = DegradationReport::default();
+        *error = None;
         // With a cache configured, coarse/fine fetches are recorded in the
         // trace and their DRAM/hit accounting happens in the frame-end
         // replay; without one, each fetch is its own burst-rounded DRAM
@@ -1370,16 +1357,6 @@ impl StreamingScene {
         // One knob: `validated()` already copied a configured cache's
         // line-fill size into `burst_bytes`.
         let burst = self.config.burst_bytes;
-        // The worker ledger accumulates across groups; this group's byte
-        // counters are the deltas over these baselines.
-        let base_coarse = ledger.get(Stage::VoxelCoarse, Direction::Read);
-        let base_fine = ledger.get(Stage::VoxelFine, Direction::Read);
-        let base_pixel = ledger.get(Stage::PixelOut, Direction::Write);
-        let base_coarse_dram = ledger.dram(Stage::VoxelCoarse, Direction::Read);
-        let base_fine_dram = ledger.dram(Stage::VoxelFine, Direction::Read);
-        let base_pixel_dram = ledger.dram(Stage::PixelOut, Direction::Write);
-        let base_tier = ledger.tier_demand_all();
-        let base_tier_dram = ledger.tier_dram_all();
 
         // --- VSU: ray sampling + voxel ordering --------------------------
         let (dx, dy, dz) = self.grid.dims();
@@ -1496,9 +1473,7 @@ impl StreamingScene {
                                 degradation.voxels_skipped += 1;
                                 continue;
                             }
-                            if error.is_none() {
-                                *error = Some((group_index, e));
-                            }
+                            *error = Some(e);
                             break;
                         }
                     };
@@ -1583,9 +1558,7 @@ impl StreamingScene {
                             }
                             Err(e) => {
                                 if !self.config.degrade_on_fault {
-                                    if error.is_none() {
-                                        *error = Some((group_index, e));
-                                    }
+                                    *error = Some(e);
                                     abort = true;
                                     break;
                                 }
@@ -1660,9 +1633,7 @@ impl StreamingScene {
                         }
                         Err(e) => {
                             if !self.config.degrade_on_fault {
-                                if error.is_none() {
-                                    *error = Some((group_index, e));
-                                }
+                                *error = Some(e);
                                 abort = true;
                                 break;
                             }
@@ -1703,7 +1674,7 @@ impl StreamingScene {
                 w.blend_fragments += frag.blended;
                 if frag.violations > 0 {
                     violating.push(*gi);
-                    violating_blends += frag.violations;
+                    *vblends += frag.violations;
                 }
                 if blend.live == 0 {
                     break;
@@ -1715,44 +1686,39 @@ impl StreamingScene {
         // DRAM transaction, metered like every other byte (never cached).
         let live_pixels = ((rect.x1 - rect.x0) * (rect.y1 - rect.y0)) as u64;
         ledger.add_transfer(Stage::PixelOut, Direction::Write, live_pixels * 16, burst);
-        if cached {
-            trace.push(TraceOp::GroupEnd);
-        }
 
-        // The group's byte counters are read back from the ledger — the
+        // The group's byte counters are read back from its ledger — the
         // ledger is the source of truth, the workload a per-tile view.
-        // (With a cache, the coarse/fine DRAM deltas are zero here; the
+        // (With a cache, the coarse/fine DRAM counters are zero here; the
         // frame-end replay fills them in per group.)
-        w.coarse_bytes = ledger.get(Stage::VoxelCoarse, Direction::Read) - base_coarse;
-        w.fine_bytes = ledger.get(Stage::VoxelFine, Direction::Read) - base_fine;
-        w.pixel_bytes = ledger.get(Stage::PixelOut, Direction::Write) - base_pixel;
-        w.coarse_dram_bytes = ledger.dram(Stage::VoxelCoarse, Direction::Read) - base_coarse_dram;
-        w.fine_dram_bytes = ledger.dram(Stage::VoxelFine, Direction::Read) - base_fine_dram;
-        w.pixel_dram_bytes = ledger.dram(Stage::PixelOut, Direction::Write) - base_pixel_dram;
-        let tier_now = ledger.tier_demand_all();
-        let tier_dram_now = ledger.tier_dram_all();
-        for tt in 0..MAX_TIERS {
-            w.fine_tier_bytes[tt] = tier_now[tt] - base_tier[tt];
-            w.fine_tier_dram_bytes[tt] = tier_dram_now[tt] - base_tier_dram[tt];
-        }
+        w.coarse_bytes = ledger.get(Stage::VoxelCoarse, Direction::Read);
+        w.fine_bytes = ledger.get(Stage::VoxelFine, Direction::Read);
+        w.pixel_bytes = ledger.get(Stage::PixelOut, Direction::Write);
+        w.coarse_dram_bytes = ledger.dram(Stage::VoxelCoarse, Direction::Read);
+        w.fine_dram_bytes = ledger.dram(Stage::VoxelFine, Direction::Read);
+        w.pixel_dram_bytes = ledger.dram(Stage::PixelOut, Direction::Write);
+        w.fine_tier_bytes = ledger.tier_demand_all();
+        w.fine_tier_dram_bytes = ledger.tier_dram_all();
+        *workload = w;
 
-        let gp = (gsz * gsz) as usize;
-        let k = workloads.len();
-        blend.finish(self.config.background, &mut pixels[k * gp..(k + 1) * gp]);
-        workloads.push(w);
-        vblends.push(violating_blends);
+        pixels.resize((gsz * gsz) as usize, Vec3::ZERO);
+        blend.finish(self.config.background, pixels);
     }
 }
 
 /// Frame-persistent render state: the worker pool plus the frame arena
-/// (per-group outputs and per-chunk scratch), behind a mutex so `render`
-/// stays `&self`. Concurrent renders on one scene serialize; clone the
-/// scene for independent parallel use.
+/// (per-worker working scratch and per-group output slots), behind a mutex
+/// so `render` stays `&self`. Concurrent renders on one scene serialize;
+/// clone the scene for independent parallel use.
 #[derive(Debug, Default)]
 struct StreamScratch {
     pool: Option<WorkerPool>,
-    /// Per-chunk reusable working state and outputs.
-    groups: Vec<GroupScratch>,
+    /// Per-worker reusable working state (one per group-claiming job).
+    workers: Vec<WorkerScratch>,
+    /// Per-group output slots, indexed by group; the first `n_groups` are
+    /// this frame's (longer from an earlier, larger frame — kept so the
+    /// slots' buffers survive frame-size changes).
+    groups: Vec<GroupOut>,
     /// Frame-persistent working-set cache simulation (lazily built from
     /// [`StreamingConfig::cache`]); carries state across frames so
     /// trajectories exercise temporal locality.
@@ -1792,20 +1758,13 @@ enum TraceOp {
         /// Tier-local slot index.
         slot: u32,
     },
-    /// Group boundary (advances the per-tile accounting cursor).
-    GroupEnd,
 }
 
-/// Reusable per-chunk working buffers and outputs for
-/// [`StreamingScene::render`]: one chunk job owns exactly one of these.
+/// Reusable working buffers of one group-rendering job: whichever groups
+/// the job claims reuse them in turn. Nothing here outlives a group, so
+/// which worker renders which group never shows in the output.
 #[derive(Debug, Default)]
-struct GroupScratch {
-    /// The chunk's groups' pixel partials, `group_size²` each, group-major.
-    pixels: Vec<Vec3>,
-    /// The chunk's per-group workload records, in group order.
-    workloads: Vec<TileWorkload>,
-    /// The chunk's per-group out-of-order blend counts, in group order.
-    vblends: Vec<u64>,
+struct WorkerScratch {
     /// Flat per-job DDA ray chunks (slot 0 serves the serial path); each
     /// holds its rays' voxel lists back to back.
     ray_chunks: Vec<RayChunk>,
@@ -1825,38 +1784,50 @@ struct GroupScratch {
     splats: Vec<(u32, FineSplat)>,
     /// Persistent partial-pixel state across the group's voxels.
     blend: GroupBlender,
-    /// Gaussians blended out of depth order (accumulated per chunk).
-    violating: Vec<u32>,
-    /// This worker's traffic ledger: every store fetch and pixel writeback
-    /// of its groups, merged into the frame ledger (in chunk order) after
-    /// the parallel section — byte accounting without a shared lock.
-    ledger: TrafficLedger,
-    /// This worker's recorded coarse/fine fetch trace (group-delimited),
-    /// replayed through the frame's cache simulation in deterministic
-    /// group order. Empty when no cache is configured.
-    trace: Vec<TraceOp>,
-    /// This worker's per-voxel degradation counters, summed into the
-    /// frame's [`DegradationReport`] after the parallel section.
-    degradation: DegradationReport,
-    /// First store fault this worker hit with degradation disabled,
-    /// tagged with its global group index so the frame surfaces the
-    /// error the serial walk would have hit first.
-    error: Option<(usize, StoreError)>,
 }
 
-impl GroupScratch {
-    /// Resets the per-chunk outputs and accumulators for a chunk of
-    /// `groups` pixel groups of `gp` pixels each (buffers keep capacity).
-    fn begin_chunk(&mut self, groups: usize, gp: usize) {
-        self.pixels.resize(groups * gp, Vec3::ZERO);
-        self.workloads.clear();
-        self.vblends.clear();
-        self.violating.clear();
-        self.ledger.clear();
-        self.trace.clear();
-        self.degradation = DegradationReport::default();
-        self.error = None;
+impl WorkerScratch {
+    /// Grows every group-sized buffer to at least `peer`'s capacity. The
+    /// frame equalizes its workers after each claimed section, so a
+    /// worker that meets a group some other worker already rendered never
+    /// allocates — warm frames stay allocation-free although the
+    /// group → worker assignment changes from frame to frame.
+    fn reserve_like(&mut self, peer: &WorkerScratch) {
+        for (c, p) in self.ray_chunks.iter_mut().zip(&peer.ray_chunks) {
+            reserve_to(&mut c.voxels, p.voxels.capacity());
+            reserve_to(&mut c.ends, p.ends.capacity());
+        }
+        self.csr.reserve_like(&peer.csr);
+        self.order.reserve_like(&peer.order);
+        reserve_to(&mut self.order_out, peer.order_out.capacity());
+        reserve_to(&mut self.survivors, peer.survivors.capacity());
+        reserve_to(&mut self.splats, peer.splats.capacity());
     }
+}
+
+/// One pixel group's output slot: everything the group produces, written
+/// only by the job that claimed the group and read back in group order.
+#[derive(Debug, Default)]
+struct GroupOut {
+    /// The group's `group_size²` composited pixels (row-major, group-local).
+    pixels: Vec<Vec3>,
+    /// The group's workload record.
+    workload: TileWorkload,
+    /// The group's out-of-order blend count.
+    vblends: u64,
+    /// Gaussians the group blended out of depth order.
+    violating: Vec<u32>,
+    /// The group's recorded coarse/fine fetches, replayed through the
+    /// frame's cache simulation in group order. Empty when no cache is
+    /// configured.
+    trace: Vec<TraceOp>,
+    /// Every store fetch and the pixel writeback of this group, merged
+    /// into the frame ledger after the parallel section.
+    ledger: TrafficLedger,
+    /// The group's per-voxel degradation counters.
+    degradation: DegradationReport,
+    /// The store fault that stopped this group with degradation disabled.
+    error: Option<StoreError>,
 }
 
 /// One DDA job's contiguous slice of a group's ray grid: the rays' voxel
@@ -1997,6 +1968,17 @@ impl VoxelPixelCsr {
                 s = e as usize;
             }
         }
+    }
+
+    /// Grows every buffer to at least `peer`'s capacity, so this CSR can
+    /// map any group `peer` already mapped without allocating.
+    fn reserve_like(&mut self, peer: &VoxelPixelCsr) {
+        reserve_to(&mut self.local, peer.local.capacity());
+        reserve_to(&mut self.stamp, peer.stamp.capacity());
+        reserve_to(&mut self.counts, peer.counts.capacity());
+        reserve_to(&mut self.off, peer.off.capacity());
+        reserve_to(&mut self.cursor, peer.cursor.capacity());
+        reserve_to(&mut self.pixels, peer.pixels.capacity());
     }
 
     /// Group-local pixel indices whose rays intersect voxel `vid`.

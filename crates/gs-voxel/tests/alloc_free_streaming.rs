@@ -5,7 +5,9 @@
 //! after warming a [`StreamingScene`] and a reusable [`StreamingOutput`],
 //! re-rendering the same camera through [`StreamingScene::render_into`]
 //! must perform **zero** heap allocations — resident store, cache on or
-//! off. Paged stores are covered too: after the page set and the staging
+//! off, one worker or two claiming groups dynamically (whichever worker
+//! renders a group, it must not grow a buffer). Paged stores are covered
+//! too: after the page set and the staging
 //! buffer pool warmed up, paged coarse fetches (and whole paged frames)
 //! allocate nothing either.
 //!
@@ -72,14 +74,18 @@ fn allocs_over_warm_frames(scene: &StreamingScene, frames: u32) -> u64 {
 }
 
 fn scene_with(cache: Option<CacheConfig>) -> StreamingScene {
+    scene_on(cache, 1)
+}
+
+fn scene_on(cache: Option<CacheConfig>, threads: usize) -> StreamingScene {
     let scene = SceneKind::Truck.build(&SceneConfig::tiny());
     StreamingScene::new(
         scene.trained.clone(),
         StreamingConfig {
             voxel_size: scene.voxel_size,
-            // One explicit worker: the serial group loop, no
-            // `available_parallelism` query inside the measured region.
-            threads: 1,
+            // An explicit worker count: no `available_parallelism` query
+            // inside the measured region.
+            threads,
             cache,
             ..Default::default()
         },
@@ -92,6 +98,12 @@ fn resident_case() -> u64 {
 
 fn cached_case() -> u64 {
     allocs_over_warm_frames(&scene_with(Some(CacheConfig::default())), 4)
+}
+
+fn cached_two_worker_case() -> u64 {
+    // Two workers claim the 20 groups dynamically, so which worker's
+    // scratch renders which group changes from frame to frame.
+    allocs_over_warm_frames(&scene_on(Some(CacheConfig::default()), 2), 8)
 }
 
 fn paged_case() -> u64 {
@@ -152,6 +164,11 @@ fn warm_streaming_paths_perform_zero_allocations() {
         cached_case(),
         0,
         "cached case: steady-state cached streaming render must not allocate"
+    );
+    assert_eq!(
+        cached_two_worker_case(),
+        0,
+        "cached two-worker case: warm group-claiming frames must not allocate"
     );
     assert_eq!(
         paged_case(),

@@ -1,12 +1,14 @@
-//! Per-chunk output buffers survive mode switches.
+//! Per-group output slots and per-worker scratch survive mode switches.
 //!
-//! Each render chunk owns its pixel partials, workloads and blend counts,
-//! so one `StreamingScene` that alternates between ray-parallel frames
-//! (fewer groups than workers: one chunk holds every group) and
-//! group-chunked frames (several chunks, an empty tail chunk) re-sizes
-//! the same buffers back and forth. Every frame rendered into one reused
-//! `StreamingOutput` must still be byte-identical to a fresh serial
-//! render.
+//! Each pixel group owns an output slot (pixels, workload, blend counts,
+//! ledger) and each group-claiming worker a working scratch, so one
+//! `StreamingScene` that alternates between ray-parallel frames (fewer
+//! groups than workers: one worker renders every group, fanning each
+//! group's rays out over the pool) and group-claiming frames (four
+//! workers claiming groups dynamically) reuses the same slots and
+//! scratch back and forth, with a different number of live slots per
+//! frame. Every frame rendered into one reused `StreamingOutput` must
+//! still be byte-identical to a fresh serial render.
 
 use gs_core::camera::{Camera, Intrinsics};
 use gs_scene::{SceneConfig, SceneKind};
@@ -17,8 +19,8 @@ fn alternating_ray_parallel_and_chunked_frames_match_fresh_serial_renders() {
     let scene = SceneKind::Truck.build(&SceneConfig::tiny());
     let eval = scene.eval_cameras[0];
     // 48×32 at the default 32-pixel groups is 2 groups (< 4 workers:
-    // ray-parallel); the 96×72 eval camera is 9 groups in 4 chunks of
-    // 3, 3, 3 and 0 groups.
+    // ray-parallel); the 96×72 eval camera is 9 groups claimed by 4
+    // workers.
     let small = Camera {
         intrinsics: Intrinsics::from_fov(48, 32, eval.intrinsics.fov_x()),
         pose: eval.pose,

@@ -38,9 +38,63 @@ fn streaming_render_is_thread_count_invariant() {
 }
 
 #[test]
+fn skewed_group_load_is_thread_count_invariant() {
+    // An off-centre camera puts the model in one half of the frame, so
+    // half the groups are cheap background and the rest carry the work:
+    // dynamic group claiming then hands groups to workers in a different
+    // pattern on every run. With a cache configured, every observable —
+    // including the per-tile record order the cache replay writes into
+    // and the cache report itself — must equal the 1-thread frames.
+    use gs_core::camera::Camera;
+    use gs_core::vec::Vec3;
+    use gs_mem::cache::CacheConfig;
+
+    let scene = SceneKind::Lego.build(&SceneConfig::tiny());
+    let base = StreamingConfig {
+        voxel_size: scene.voxel_size,
+        cache: Some(CacheConfig::default()),
+        ..Default::default()
+    };
+    let cams: Vec<Camera> = [0.75f32, 1.0, 1.25]
+        .iter()
+        .map(|&side| {
+            let eye = Vec3::new(0.4, 0.3, -3.0);
+            Camera::look_at(eye, Vec3::new(side, 0.0, 0.0), Vec3::Y, 160, 120, 0.9)
+        })
+        .collect();
+    // The cache model carries state across frames, so each run renders
+    // the same camera sequence on a fresh scene.
+    let run = |threads: usize| {
+        let s = StreamingScene::new(scene.trained.clone(), StreamingConfig { threads, ..base });
+        cams.iter().map(|c| s.render(c)).collect::<Vec<_>>()
+    };
+    let seq = run(1);
+    let tiles = &seq[0].workload.tiles;
+    let idle = tiles.iter().filter(|t| t.gaussians_streamed == 0).count();
+    assert!(
+        idle * 4 >= tiles.len() && idle * 4 <= tiles.len() * 3,
+        "setup: {idle} of {} groups idle — the load is not skewed",
+        tiles.len()
+    );
+    for threads in [2, 3, 4, 0] {
+        for repeat in 0..3 {
+            for (f, (a, b)) in seq.iter().zip(run(threads)).enumerate() {
+                let what = format!("threads={threads} repeat={repeat} frame={f}");
+                assert_eq!(a.image, b.image, "image: {what}");
+                assert_eq!(a.workload, b.workload, "workload tiles: {what}");
+                assert_eq!(a.violations, b.violations, "violations: {what}");
+                assert_eq!(a.ledger, b.ledger, "ledger: {what}");
+                assert_eq!(a.degradation, b.degradation, "degradation: {what}");
+                assert_eq!(a.cache, b.cache, "cache report: {what}");
+            }
+        }
+    }
+}
+
+#[test]
 fn repeated_streaming_frames_are_stable() {
-    // The persistent pool + per-chunk scratch must not leak state across
-    // frames or cameras.
+    // The persistent pool, per-worker scratch and per-group output slots
+    // must not leak state across frames or cameras.
     let scene = SceneKind::Lego.build(&SceneConfig::tiny());
     let streaming = StreamingScene::new(
         scene.trained.clone(),
@@ -68,7 +122,7 @@ fn ray_parallel_mode_is_thread_count_invariant() {
     // out across the pool instead of the group list). Every observable —
     // image, per-tile workload records, ledger, violations — must be
     // byte-identical to the serial walk for any thread count, exactly
-    // like group-level chunking.
+    // like group claiming.
     let scene = SceneKind::Truck.build(&SceneConfig::tiny());
     let base = StreamingConfig {
         voxel_size: scene.voxel_size,
@@ -150,9 +204,9 @@ fn validated_is_idempotent_and_normalizes() {
 
 #[test]
 fn narrower_frames_do_not_inherit_stale_violations() {
-    // Regression: a frame using fewer worker chunks than a previous frame
-    // must not re-report the previous frame's violating Gaussians from
-    // stale per-chunk scratch slots.
+    // Regression: a frame with fewer groups (and workers) than a previous
+    // frame must not re-report the previous frame's violating Gaussians
+    // from stale output slots.
     use gs_core::camera::Camera;
     use gs_core::vec::Vec3;
     use gs_scene::{Gaussian, GaussianCloud};
@@ -174,7 +228,7 @@ fn narrower_frames_do_not_inherit_stale_violations() {
     };
     let scene = StreamingScene::new(cloud.clone(), cfg);
 
-    // Wide frame: many groups -> 4 chunks, with real ordering violations.
+    // Wide frame: many groups on 4 workers, with real ordering violations.
     let wide = Camera::look_at(
         Vec3::new(0.5, 0.3, -8.0),
         Vec3::ZERO,
@@ -189,7 +243,7 @@ fn narrower_frames_do_not_inherit_stale_violations() {
         "setup: wide frame must violate"
     );
 
-    // Narrow frame looking away from the cloud: 1 group -> 1 chunk, and
+    // Narrow frame looking away from the cloud: 1 group on 1 worker, and
     // nothing visible, so zero violations.
     let narrow = Camera::look_at(
         Vec3::new(0.0, 0.0, -8.0),

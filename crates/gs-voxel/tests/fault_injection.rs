@@ -12,8 +12,8 @@
 //! (c) **Paged ≡ resident with checksums on** — CRC verification never
 //!     changes a byte of output.
 //! (d) **Fail-fast mode** — with `degrade_on_fault` off, permanent faults
-//!     surface the globally-first failing group's error for any worker
-//!     count.
+//!     surface the lowest-index failing group's error for any worker
+//!     count, frame after frame on one scene.
 //! (e) **Version-1 images** — still render identically, with checksum
 //!     verification flagged off in the effective `PageConfig`.
 //! (f) **File-backed faults** — the same transient-recovery contract
@@ -199,8 +199,20 @@ fn checksummed_paged_rendering_matches_resident() {
 
 #[test]
 fn fail_fast_mode_surfaces_the_same_error_for_any_worker_count() {
+    use gs_core::camera::Camera;
+    use gs_core::vec::Vec3;
+    use gs_voxel::ColumnKind;
     let scene = SceneKind::Lego.build(&SceneConfig::tiny());
-    let cam = &scene.eval_cameras[0];
+    // After the eval view, a close view fails in groups from the top row
+    // down; the last looks further up and right, sees nothing in the top
+    // row and fails only further down — so an error left behind in one
+    // of the previous frame's output slots would surface ahead of the
+    // last frame's own.
+    let look = |side: f32, up: f32| {
+        let eye = Vec3::new(0.4, 0.3, -3.0);
+        Camera::look_at(eye, Vec3::new(side, up, 0.0), Vec3::Y, 160, 120, 0.9)
+    };
+    let cams = [scene.eval_cameras[0], look(1.0, 0.0), look(1.5, 1.0)];
     let policy = FaultPolicy {
         seed: 0xBAD_F00D,
         permanent_per_mille: 400,
@@ -210,20 +222,47 @@ fn fail_fast_mode_surfaces_the_same_error_for_any_worker_count() {
         degrade_on_fault: false,
         ..vq_config(scene.voxel_size, 1)
     };
-    let mut reference: Option<String> = None;
-    for threads in [1usize, 2, 0] {
-        let mut faulty =
-            StreamingScene::new(scene.trained.clone(), StreamingConfig { threads, ..cfg });
-        faulty
-            .page_out_with_faults(page_config(), policy)
+    let faulty = |threads: usize| {
+        let mut s = StreamingScene::new(scene.trained.clone(), StreamingConfig { threads, ..cfg });
+        s.page_out_with_faults(page_config(), policy)
             .expect("reopen with faults");
-        let err = match faulty.try_render(cam) {
-            Err(e) => e.to_string(),
-            Ok(_) => panic!("fail-fast mode must surface the fault"),
-        };
-        match &reference {
-            None => reference = Some(err),
-            Some(r) => assert_eq!(r, &err, "error diverged at threads={threads}"),
+        s
+    };
+    let error_of = |s: &StreamingScene, cam| match s.try_render(cam) {
+        Err(e) => e.to_string(),
+        Ok(_) => panic!("fail-fast mode must surface the fault"),
+    };
+    // Each camera's error as the first frame of a fresh serial scene.
+    let fresh: Vec<String> = cams.iter().map(|c| error_of(&faulty(1), c)).collect();
+    assert_ne!(
+        fresh[1], fresh[2],
+        "setup: the last two frames must fail apart"
+    );
+    let dead_map = |s: &StreamingScene| {
+        (
+            s.dead_page_map(ColumnKind::Coarse),
+            s.dead_page_map(ColumnKind::Fine),
+        )
+    };
+    let mut reference_dead = None;
+    for threads in [1usize, 2, 3, 0] {
+        let s = faulty(threads);
+        // Consecutive failing frames on one scene: each surfaces its own
+        // lowest-index failing group's error — never an error some
+        // group's output slot kept from the frame before.
+        for (f, cam) in cams.iter().enumerate() {
+            assert_eq!(
+                error_of(&s, cam),
+                fresh[f],
+                "error diverged at threads={threads} frame={f}"
+            );
+        }
+        // A failing frame still renders its other groups, so the pages
+        // it killed are the same set for any worker count.
+        let dead = dead_map(&s);
+        match &reference_dead {
+            None => reference_dead = Some(dead),
+            Some(r) => assert_eq!(r, &dead, "dead pages diverged at threads={threads}"),
         }
     }
 }

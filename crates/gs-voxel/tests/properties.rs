@@ -181,7 +181,7 @@ proptest! {
         cloud in cloud_strategy(),
         voxel in 0.5f32..1.2,
     ) {
-        // The parallel front-end / per-chunk scratch must never leak into
+        // Group claiming / per-worker scratch must never leak into
         // the output: threads ∈ {1, 2, 0 (= all cores)} render the same
         // bytes and the same workload totals.
         let cam = Camera::look_at(
