@@ -56,6 +56,19 @@ fn wait_unpoisoned<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<
     }
 }
 
+/// Resolves a `threads` config value (0 = all cores) to a concrete worker
+/// count — the one reading of the knob shared by every renderer and the
+/// frame scheduler.
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        threads
+    }
+}
+
 /// Type-erased pointer to the frame's job closure plus its call shim.
 #[derive(Copy, Clone)]
 struct Task {

@@ -9,7 +9,7 @@
 
 use crate::arena::{FrameArena, TileChunk, TILE_PIXELS};
 use crate::binning::{bin_and_sort_into, bin_and_sort_parallel};
-use crate::pool::WorkerPool;
+use crate::pool::{resolve_threads, WorkerPool};
 use crate::projection::{project_splats_into, project_splats_parallel, tile_grid};
 use crate::rasterize::rasterize_tile;
 use crate::stats::RenderStats;
@@ -47,17 +47,6 @@ impl Default for RenderConfig {
 /// tile sorts) cost more than the parallelism recovers, and the serial path
 /// is bit-identical anyway.
 const PARALLEL_FRONT_END_MIN_SPLATS: usize = 1024;
-
-/// Resolves a `threads` config value (0 = all cores) to a concrete count.
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
 
 /// A rendered frame plus its functional workload statistics.
 #[derive(Clone, Debug)]

@@ -51,7 +51,7 @@
 //! See `docs/SERVING.md` for the session model and shard lifecycle.
 
 use gs_core::camera::Camera;
-use gs_render::pool::WorkerPool;
+use gs_render::pool::{resolve_threads, WorkerPool};
 use gs_voxel::{QualityPolicy, StoreError, StreamingOutput, StreamingScene};
 
 /// Everything that can go wrong in the serving layer.
@@ -400,13 +400,7 @@ impl FrameScheduler {
         }
         let active = self.plan.iter().filter(|p| !p.is_empty()).count();
 
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
+        let threads = resolve_threads(self.threads);
         // One job per session (sessions without requests return at once),
         // each owning its `&mut ClientSession`; the pool is only as wide
         // as the active sessions can use.

@@ -12,10 +12,10 @@
 //! bounds test with per-axis remaining-step counters, leaving one
 //! remaining-cells check on the stepped axis as the only per-step branch
 //! beyond the axis cascade. Every transformation is
-//! step-for-step identical to the original loop — [`reference`] keeps that
-//! loop verbatim, and the `payload` bench plus the property suite pin the
-//! two against each other (same voxel lists, same step counts, on random
-//! grids and rays).
+//! step-for-step identical to the original loop, which this module's
+//! tests keep verbatim as a test-only `reference` and compare against
+//! (same voxel lists, same step counts, on awkward hand-picked rays and
+//! on random grids and rays).
 
 use crate::grid::{Cell, VoxelGrid, EMPTY_CELL};
 use gs_core::geom::Ray;
@@ -83,7 +83,7 @@ pub fn traverse_cells(
 /// `visit(cell, lin)` once per DDA step — `lin` is the linear cell-table
 /// index, maintained incrementally — and returns the step count.
 ///
-/// Bit-exactness notes (this loop must reproduce [`reference`] exactly):
+/// Bit-exactness notes (this loop must reproduce the test-only `reference` exactly):
 ///
 /// - The `t_max`/`t_delta` setup keeps the **division** by `dir[a]`.
 ///   Multiplying by a precomputed `1.0 / dir[a]` is not the same rounding
@@ -234,28 +234,22 @@ fn march<F: FnMut(Cell, usize)>(grid: &VoxelGrid, ray: &Ray, max_steps: u32, mut
 }
 
 /// The pre-overhaul traversal loop, kept verbatim as the bit-exact
-/// reference twin. The `payload` bench times [`traverse_append`] against
-/// [`reference::traverse_append`] and asserts identical voxel lists and
-/// step counts; the property suite does the same over random grids/rays.
-pub mod reference {
+/// reference the tests compare [`traverse`] against.
+#[cfg(test)]
+mod reference {
     use super::{Ray, RayVoxels, VoxelGrid};
 
-    /// Reference twin of [`super::traverse`].
+    /// Reference version of [`super::traverse`].
     pub fn traverse(grid: &VoxelGrid, ray: &Ray, max_steps: u32) -> RayVoxels {
         let mut out = RayVoxels::default();
         out.steps = traverse_append(grid, ray, max_steps, &mut out.voxels);
         out
     }
 
-    /// Reference twin of [`super::traverse_append`]: the original step
+    /// Reference version of [`super::traverse_append`]: the original step
     /// loop — per-step `voxel_at` (recomputed `(z*ny + y)*nx + x` plus
     /// six-compare bounds test) and the three-way axis cascade.
-    pub fn traverse_append(
-        grid: &VoxelGrid,
-        ray: &Ray,
-        max_steps: u32,
-        voxels: &mut Vec<u32>,
-    ) -> u32 {
+    fn traverse_append(grid: &VoxelGrid, ray: &Ray, max_steps: u32, voxels: &mut Vec<u32>) -> u32 {
         let mut steps = 0u32;
         let bounds = grid.bounds();
         let Some((t_enter, t_exit)) = bounds.intersect_ray(ray) else {
@@ -357,6 +351,7 @@ mod tests {
     use super::*;
     use gs_core::vec::Vec3;
     use gs_scene::{Gaussian, GaussianCloud};
+    use proptest::prelude::*;
 
     /// A 4×1×1 row of occupied voxels at y=z=0.5.
     fn row_grid() -> (GaussianCloud, VoxelGrid) {
@@ -597,6 +592,47 @@ mod tests {
                     "marcher diverged from reference on {ray:?} (max_steps {max_steps})"
                 );
             }
+        }
+    }
+
+    fn cloud_strategy() -> impl Strategy<Value = GaussianCloud> {
+        proptest::collection::vec(
+            (-4.0f32..4.0, -2.0f32..2.0, -3.0f32..3.0, 0.01f32..0.2),
+            3..60,
+        )
+        .prop_map(|pts| {
+            pts.into_iter()
+                .map(|(x, y, z, s)| Gaussian::isotropic(Vec3::new(x, y, z), s, Vec3::ONE, 0.8))
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn marcher_matches_reference_on_random_grids_and_rays(
+            cloud in cloud_strategy(),
+            voxel in 0.4f32..1.5,
+            oy in -1.5f32..1.5,
+            oz in -1.0f32..1.0,
+            dir_y in -0.5f32..0.5,
+            dir_z in -0.5f32..0.5,
+            flip in -1.0f32..1.0,
+        ) {
+            // The whole walk — voxel list and step count — must match the
+            // kept original loop, from either side of the grid.
+            let grid = VoxelGrid::build(&cloud, voxel);
+            let sign = if flip < 0.0 { -1.0 } else { 1.0 };
+            let ray = Ray::new(
+                Vec3::new(-8.0 * sign, oy, oz),
+                Vec3::new(sign, dir_y, dir_z).normalized(),
+            );
+            prop_assert_eq!(
+                traverse(&grid, &ray, 10_000),
+                reference::traverse(&grid, &ray, 10_000),
+                "marcher diverged from the reference loop"
+            );
         }
     }
 

@@ -36,10 +36,9 @@
 //! ([`workload::TileWorkload`]) are *derived from* the ledger, making it
 //! the single source of byte truth end to end; `gs-accel` prices DRAM
 //! time and energy from the same measured ledger. Store decodes are
-//! bit-exact, and [`streaming::StreamingScene::render_cloud_twin`] keeps
-//! the old cloud-backed fetch path alive as a reference twin —
-//! `tests/store_ledger.rs` asserts byte-identical images, workloads and
-//! ledgers on every scene kind, raw and VQ.
+//! bit-exact (`tests/store_ledger.rs` round-trips them), and committed
+//! golden frame digests (`tests/golden_frames.rs`) pin the images,
+//! workloads and ledgers of every scene kind, raw and VQ.
 //!
 //! ## Paging and the working-set cache (PR 4)
 //!

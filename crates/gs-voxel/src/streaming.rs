@@ -15,11 +15,11 @@
 //!
 //! * the voxel → pixel map is an epoch-stamped dense-id remap feeding a
 //!   two-pass counting-sort CSR built straight from the ray lists
-//!   ([`VoxelPixelCsr`], the [`crate::order::OrderScratch`] trick);
+//!   (`VoxelPixelCsr`, the [`crate::order::OrderScratch`] trick);
 //! * the per-voxel ray mask and the blender's saturation set are packed
 //!   `u64` bitset words, so the "any live pixel?" test is
 //!   `mask & !done != 0` per word and stride dilation is a precomputed
-//!   per-pixel span table ([`MaskScratch`]) instead of a stride² loop;
+//!   per-pixel span table (`MaskScratch`) instead of a stride² loop;
 //! * groups are claimed dynamically by the workers of the shared
 //!   [`gs_render::pool::WorkerPool`] (`run_claimed`): each worker owns its
 //!   working scratch, each group writes only its own output slot
@@ -34,10 +34,11 @@
 //!   **bit-identical** for any worker count — the same determinism
 //!   contract as the parallel front-end in `gs_render`.
 //!
-//! The pre-CSR loop (hash-map voxel→pixels, `Vec<bool>` masks, float
-//! pixel walk) soaked for a release as `render_reference_loop` and has
-//! been deleted; the `streaming` bench reconstructs its mechanism inline
-//! and pins byte-exactness against recorded frame digests.
+//! There is one render path: every frame reads the store's columns and
+//! runs one DDA marcher and one blend kernel. Committed golden frame
+//! digests (`tests/golden_frames.rs`) pin its output bytes; the kernels'
+//! original loops survive only as test-only references they are compared
+//! against per ray (`dda.rs`) and per splat (this module's tests).
 //!
 //! ## Fault tolerance (PR 6)
 //!
@@ -66,11 +67,11 @@ use crate::store::{
 use crate::workload::{FrameWorkload, TileWorkload};
 use gs_core::camera::Camera;
 use gs_core::image::ImageRgb;
-use gs_core::vec::{Vec2, Vec3};
+use gs_core::vec::Vec3;
 use gs_mem::cache::{CacheConfig, CacheReport, WorkingSetCache};
 use gs_mem::dram::{round_to_burst, DEFAULT_BURST_BYTES};
 use gs_mem::{Direction, Stage, TrafficLedger, MAX_TIERS};
-use gs_render::pool::WorkerPool;
+use gs_render::pool::{resolve_threads, WorkerPool};
 use gs_render::{ALPHA_EPS, ALPHA_MAX, TRANSMITTANCE_EPS};
 use gs_scene::{Gaussian, GaussianCloud};
 use gs_vq::{GaussianQuantizer, QuantizedCloud, TierSpec, VqConfig};
@@ -471,41 +472,6 @@ impl Default for StreamingOutput {
     }
 }
 
-/// Where the per-voxel streaming phases fetch Gaussian data from.
-///
-/// The production path is [`FetchPath::Store`]: both phases read only the
-/// [`VoxelStore`]'s columns. [`FetchPath::CloudTwin`] re-reads the
-/// in-memory clouds the way the pre-store renderer did — it exists purely
-/// as the byte-exactness reference twin for
-/// [`StreamingScene::render_cloud_twin`] and meters the same byte counts,
-/// so the two paths must agree bit-for-bit on images, workloads and
-/// ledgers.
-enum FetchPath<'a> {
-    Store,
-    CloudTwin {
-        /// The cloud the fine phase renders from (the decoded cloud when
-        /// VQ is enabled, the source otherwise).
-        render: &'a GaussianCloud,
-    },
-}
-
-/// Which implementation of the two payload kernels (DDA march, EWA blend)
-/// a frame runs. [`PayloadKernels::Production`] is the overhauled pair;
-/// [`PayloadKernels::Reference`] runs the kept-verbatim originals
-/// ([`crate::dda::reference`] and [`GroupBlender::blend_reference`]).
-/// Everything else — filtering, ordering, fetching, metering — is shared,
-/// so the two selections must produce byte-identical frames; the `payload`
-/// bench and the exactness suite assert it on every scene kind, raw and
-/// VQ, resident and paged, for any worker count.
-#[doc(hidden)]
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum PayloadKernels {
-    /// Incremental-index DDA marcher + lane-wise blender.
-    Production,
-    /// The pre-overhaul kernels, kept verbatim as bit-exact twins.
-    Reference,
-}
-
 /// A scene prepared for streaming: voxelized layout, the voxel-resident
 /// columnar store, and optional codebooks.
 ///
@@ -862,68 +828,6 @@ impl StreamingScene {
         cam: &Camera,
         out: &mut StreamingOutput,
     ) -> Result<(), StoreError> {
-        self.render_frame(cam, &FetchPath::Store, PayloadKernels::Production, out)
-    }
-
-    /// Whole-frame twin of [`StreamingScene::render`] running the
-    /// kept-verbatim payload kernels ([`PayloadKernels::Reference`]):
-    /// the original DDA step loop and pixel-at-a-time blender. Exists
-    /// purely so the exactness suite and the `payload` bench can assert
-    /// that the overhauled kernels change no byte of any frame — image,
-    /// workload, violations and ledger must all compare equal.
-    ///
-    /// # Panics
-    ///
-    /// On a [`StoreError`] from a paged backing, like
-    /// [`StreamingScene::render`].
-    #[doc(hidden)]
-    pub fn render_payload_twin(&self, cam: &Camera) -> StreamingOutput {
-        let mut out = StreamingOutput::default();
-        if let Err(e) =
-            self.render_frame(cam, &FetchPath::Store, PayloadKernels::Reference, &mut out)
-        {
-            panic!("payload-twin render failed: {e}");
-        }
-        out
-    }
-
-    /// Byte-exactness reference twin of [`StreamingScene::render`]: fetches
-    /// Gaussian data from the in-memory clouds (decoding the whole cloud
-    /// first when VQ is enabled) instead of the store's columns, the way
-    /// the pre-store renderer did. Because the store's decodes are
-    /// bit-exact, this must produce identical images, workloads and
-    /// ledgers — `tests/store_ledger.rs` asserts it on every scene kind.
-    /// Not a steady-state path (the VQ decode allocates a full cloud per
-    /// call); use it for validation only.
-    ///
-    /// # Panics
-    ///
-    /// On a [`StoreError`] from a paged backing, like
-    /// [`StreamingScene::render`] (drive it on resident backings).
-    pub fn render_cloud_twin(&self, cam: &Camera) -> StreamingOutput {
-        let decoded;
-        let render = match &self.quant {
-            Some(q) => {
-                decoded = q.decode();
-                &decoded
-            }
-            None => &*self.source,
-        };
-        let mut out = StreamingOutput::default();
-        let path = FetchPath::CloudTwin { render };
-        if let Err(e) = self.render_frame(cam, &path, PayloadKernels::Production, &mut out) {
-            panic!("cloud-twin render failed: {e}");
-        }
-        out
-    }
-
-    fn render_frame(
-        &self,
-        cam: &Camera,
-        path: &FetchPath<'_>,
-        kernels: PayloadKernels,
-        out: &mut StreamingOutput,
-    ) -> Result<(), StoreError> {
         // The frame's degradation counters are deltas over this snapshot
         // (retries/dead pages/injected faults accumulate in the store).
         let fault_base = self.store.fault_snapshot();
@@ -934,13 +838,7 @@ impl StreamingScene {
         let groups_y = height.div_ceil(gsz);
         let n_groups = (groups_x * groups_y) as usize;
 
-        let threads = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.config.threads
-        };
+        let threads = resolve_threads(self.config.threads);
         // When the frame has fewer groups than workers, group claiming
         // cannot fill the machine — flip to intra-group ray parallelism
         // instead: groups run serially (in deterministic group order) and
@@ -973,13 +871,11 @@ impl StreamingScene {
         // Serial per-voxel tier selection (ascending voxel id): a pure
         // function of camera + policy + store layout, so the map — and
         // therefore every tiered fetch — is invariant across worker
-        // counts. `FullQuality` (and the cloud twin, which has no tier
-        // columns to read) skips the pre-pass entirely: the group loop
-        // then takes the legacy fetch path untouched, which is what makes
-        // `FullQuality` bit-identical to the pre-tier renderer.
-        let use_tiers = matches!(path, FetchPath::Store)
-            && self.store.tier_count() > 0
-            && self.config.quality != QualityPolicy::FullQuality;
+        // counts. `FullQuality` skips the pre-pass entirely: the group
+        // loop then takes the legacy fetch path untouched, which is what
+        // makes `FullQuality` bit-identical to the pre-tier renderer.
+        let use_tiers =
+            self.store.tier_count() > 0 && self.config.quality != QualityPolicy::FullQuality;
         let tmap: Option<&[u8]> = if use_tiers {
             self.fill_tier_map(cam, tier_map, prev_tiers);
             Some(tier_map.as_slice())
@@ -998,9 +894,7 @@ impl StreamingScene {
                             slot: &mut GroupOut,
                             ray_pool: Option<&mut WorkerPool>| {
             let (gx, gy) = (t as u32 % groups_x, t as u32 / groups_x);
-            self.render_group_into(
-                cam, gx, gy, width, height, path, kernels, tmap, scratch, slot, ray_pool,
-            );
+            self.render_group_into(cam, gx, gy, width, height, tmap, scratch, slot, ray_pool);
         };
         let groups = &mut groups[..n_groups];
         if jobs <= 1 {
@@ -1313,8 +1207,6 @@ impl StreamingScene {
         gy: u32,
         width: u32,
         height: u32,
-        path: &FetchPath<'_>,
-        kernels: PayloadKernels,
         tier_map: Option<&[u8]>,
         scratch: &mut WorkerScratch,
         out: &mut GroupOut,
@@ -1380,13 +1272,6 @@ impl StreamingScene {
         }
         let per = n_rays.div_ceil(ray_jobs);
         let grid = &self.grid;
-        // Kernel selection is a per-group fn-pointer / branch, not a code
-        // path split: everything around the two kernels is shared, which
-        // is what makes the production/reference comparison meaningful.
-        let dda: fn(&VoxelGrid, &gs_core::geom::Ray, u32, &mut Vec<u32>) -> u32 = match kernels {
-            PayloadKernels::Production => traverse_append,
-            PayloadKernels::Reference => crate::dda::reference::traverse_append,
-        };
         let fill = |chunk: &mut RayChunk, j: usize| {
             let r0 = (j * per).min(n_rays);
             let r1 = ((j + 1) * per).min(n_rays);
@@ -1398,7 +1283,7 @@ impl StreamingScene {
                 let px = px0 + (r as u32 % nx) * stride;
                 let py = py0 + (r as u32 / nx) * stride;
                 let ray = cam.pixel_ray(px as f32 + 0.5, py as f32 + 0.5);
-                chunk.steps += dda(grid, &ray, max_steps, &mut chunk.voxels) as u64;
+                chunk.steps += traverse_append(grid, &ray, max_steps, &mut chunk.voxels) as u64;
                 chunk.ends.push(chunk.voxels.len() as u32);
             }
         };
@@ -1464,65 +1349,37 @@ impl StreamingScene {
             // unchanged, keeping fault-free frames bit-identical to the
             // pre-fault-path renderer.
             survivors.clear();
-            match path {
-                FetchPath::Store => {
-                    let column = match self.store.try_fetch_coarse(vid, ledger) {
-                        Ok(column) => column,
-                        Err(e) => {
-                            if self.config.degrade_on_fault {
-                                degradation.voxels_skipped += 1;
-                                continue;
-                            }
-                            *error = Some(e);
-                            break;
-                        }
-                    };
-                    w.voxels_processed += 1;
-                    w.gaussians_streamed += count;
-                    // One whole-voxel coarse burst: trace it for the cache
-                    // replay, or meter it as an uncached DRAM transaction.
-                    if cached {
-                        trace.push(TraceOp::Coarse(vid));
-                    } else {
-                        ledger.note_dram(
-                            Stage::VoxelCoarse,
-                            Direction::Read,
-                            round_to_burst(count * coarse_bpg, burst),
-                        );
+            let column = match self.store.try_fetch_coarse(vid, ledger) {
+                Ok(column) => column,
+                Err(e) => {
+                    if self.config.degrade_on_fault {
+                        degradation.voxels_skipped += 1;
+                        continue;
                     }
-                    if self.config.use_coarse_filter {
-                        survivors.extend(column.filter_map(|(slot, pos, s_max)| {
-                            coarse_test(cam, pos, s_max, &rect).map(|_| slot)
-                        }));
-                    } else {
-                        // No CGF: the whole record is streamed for every
-                        // Gaussian.
-                        survivors.extend(column.map(|(slot, _, _)| slot));
-                    }
+                    *error = Some(e);
+                    break;
                 }
-                FetchPath::CloudTwin { .. } => {
-                    w.voxels_processed += 1;
-                    w.gaussians_streamed += count;
-                    if cached {
-                        trace.push(TraceOp::Coarse(vid));
-                    } else {
-                        ledger.note_dram(
-                            Stage::VoxelCoarse,
-                            Direction::Read,
-                            round_to_burst(count * coarse_bpg, burst),
-                        );
-                    }
-                    ledger.add(Stage::VoxelCoarse, Direction::Read, count * coarse_bpg);
-                    let slots = self.store.slots_of(vid);
-                    if self.config.use_coarse_filter {
-                        survivors.extend(slots.filter(|&slot| {
-                            let g = &self.source.as_slice()[self.store.id_of(slot) as usize];
-                            coarse_test(cam, g.pos, g.max_scale(), &rect).is_some()
-                        }));
-                    } else {
-                        survivors.extend(slots);
-                    }
-                }
+            };
+            w.voxels_processed += 1;
+            w.gaussians_streamed += count;
+            // One whole-voxel coarse burst: trace it for the cache replay,
+            // or meter it as an uncached DRAM transaction.
+            if cached {
+                trace.push(TraceOp::Coarse(vid));
+            } else {
+                ledger.note_dram(
+                    Stage::VoxelCoarse,
+                    Direction::Read,
+                    round_to_burst(count * coarse_bpg, burst),
+                );
+            }
+            if self.config.use_coarse_filter {
+                survivors.extend(column.filter_map(|(slot, pos, s_max)| {
+                    coarse_test(cam, pos, s_max, &rect).map(|_| slot)
+                }));
+            } else {
+                // No CGF: the whole record is streamed for every Gaussian.
+                survivors.extend(column.map(|(slot, _, _)| slot));
             }
             w.coarse_survivors += survivors.len() as u64;
 
@@ -1538,57 +1395,35 @@ impl StreamingScene {
             if tier == 0 {
                 for &slot in survivors.iter() {
                     let gi = self.store.id_of(slot);
-                    let g: Gaussian = match path {
-                        FetchPath::Store => match self.store.try_fetch_fine(slot, ledger) {
-                            Ok(g) => {
-                                // Each record is one scattered fetch: traced
-                                // for the cache replay, or one burst-rounded
-                                // DRAM transaction.
-                                if cached {
-                                    trace.push(TraceOp::Fine(slot));
-                                } else {
-                                    ledger.note_dram(
-                                        Stage::VoxelFine,
-                                        Direction::Read,
-                                        fine_dram_rec,
-                                    );
-                                    ledger.note_tier_dram(0, fine_dram_rec);
-                                }
-                                g
-                            }
-                            Err(e) => {
-                                if !self.config.degrade_on_fault {
-                                    *error = Some(e);
-                                    abort = true;
-                                    break;
-                                }
-                                match self.store.try_coarse_of(slot) {
-                                    Ok((pos, s_max)) => {
-                                        degradation.fine_degraded += 1;
-                                        Gaussian::isotropic(
-                                            pos,
-                                            s_max,
-                                            Vec3::new(0.5, 0.5, 0.5),
-                                            0.5,
-                                        )
-                                    }
-                                    Err(_) => {
-                                        degradation.fine_skipped += 1;
-                                        continue;
-                                    }
-                                }
-                            }
-                        },
-                        FetchPath::CloudTwin { render } => {
+                    let g: Gaussian = match self.store.try_fetch_fine(slot, ledger) {
+                        Ok(g) => {
+                            // Each record is one scattered fetch: traced for
+                            // the cache replay, or one burst-rounded DRAM
+                            // transaction.
                             if cached {
                                 trace.push(TraceOp::Fine(slot));
                             } else {
                                 ledger.note_dram(Stage::VoxelFine, Direction::Read, fine_dram_rec);
                                 ledger.note_tier_dram(0, fine_dram_rec);
                             }
-                            ledger.add(Stage::VoxelFine, Direction::Read, fine_bpg);
-                            ledger.note_tier(0, fine_bpg);
-                            render.as_slice()[gi as usize].clone()
+                            g
+                        }
+                        Err(e) => {
+                            if !self.config.degrade_on_fault {
+                                *error = Some(e);
+                                abort = true;
+                                break;
+                            }
+                            match self.store.try_coarse_of(slot) {
+                                Ok((pos, s_max)) => {
+                                    degradation.fine_degraded += 1;
+                                    Gaussian::isotropic(pos, s_max, Vec3::new(0.5, 0.5, 0.5), 0.5)
+                                }
+                                Err(_) => {
+                                    degradation.fine_skipped += 1;
+                                    continue;
+                                }
+                            }
                         }
                     };
                     if let Some(s) = fine_test(cam, &g, &rect, self.config.sh_degree) {
@@ -1596,8 +1431,7 @@ impl StreamingScene {
                     }
                 }
             } else {
-                // LOD path (tier map is only ever built for the store
-                // fetch path): walk the ascending survivors against the
+                // LOD path: walk the ascending survivors against the
                 // voxel's ascending tier slots with a two-pointer merge —
                 // survivors the tier pruned fetch nothing and vanish from
                 // the frame, the rest fetch the tier's narrower record.
@@ -1666,10 +1500,7 @@ impl StreamingScene {
             // Blend into the whole group; violations are counted on the
             // masked (ray-intersecting) pixels only.
             for (gi, s) in splats.iter() {
-                let frag = match kernels {
-                    PayloadKernels::Production => blend.blend(s, &mask.words),
-                    PayloadKernels::Reference => blend.blend_reference(s, &mask.words),
-                };
+                let frag = blend.blend(s, &mask.words);
                 w.blend_lanes += frag.lanes;
                 w.blend_fragments += frag.blended;
                 if frag.violations > 0 {
@@ -1834,12 +1665,8 @@ struct GroupOut {
 /// lists appended back to back, with per-ray end offsets. Global ray index
 /// `base + i` recovers each ray's pixel, so chunks carry no per-ray
 /// metadata and a chunk boundary is invisible to the merged walk.
-///
-/// Public (but doc-hidden) so the `streaming` bench can drive the real
-/// group-loop mechanism on captured ray inputs.
-#[doc(hidden)]
 #[derive(Debug, Default)]
-pub struct RayChunk {
+struct RayChunk {
     /// Concatenated voxel lists of this chunk's rays, front-to-back.
     voxels: Vec<u32>,
     /// End offset of ray `i`'s list within `voxels`.
@@ -1851,20 +1678,8 @@ pub struct RayChunk {
 }
 
 impl RayChunk {
-    /// An empty chunk starting at global ray index 0.
-    pub fn new() -> RayChunk {
-        RayChunk::default()
-    }
-
-    /// Appends one ray's voxel list (bench construction; the renderer
-    /// appends via [`traverse_append`] directly).
-    pub fn push_ray(&mut self, voxels: &[u32]) {
-        self.voxels.extend_from_slice(voxels);
-        self.ends.push(self.voxels.len() as u32);
-    }
-
     /// The chunk's per-ray voxel slices, in ray order.
-    pub fn ray_slices(&self) -> impl Iterator<Item = &[u32]> + '_ {
+    fn ray_slices(&self) -> impl Iterator<Item = &[u32]> + '_ {
         let mut start = 0usize;
         self.ends.iter().map(move |&e| {
             let s = &self.voxels[start..e as usize];
@@ -1880,9 +1695,8 @@ impl RayChunk {
 /// pass two scatters pixel indices in global ray order — so each voxel's
 /// pixel list is identical to what the seed's hash map accumulated, with
 /// no hashing, no per-voxel `Vec`s, and zero steady-state allocations.
-#[doc(hidden)]
 #[derive(Debug, Default)]
-pub struct VoxelPixelCsr {
+struct VoxelPixelCsr {
     /// Voxel id → dense local index; valid only when `stamp[id] == epoch`.
     local: Vec<u32>,
     /// Epoch stamp per voxel id slot.
@@ -1900,14 +1714,9 @@ pub struct VoxelPixelCsr {
 }
 
 impl VoxelPixelCsr {
-    /// A fresh CSR scratch (buffers grow on first use).
-    pub fn new() -> VoxelPixelCsr {
-        VoxelPixelCsr::default()
-    }
-
     /// Rebuilds the CSR from the group's ray chunks. `nx`/`stride`/`gsz`
     /// recover each ray's group-local pixel index from its global index.
-    pub fn build(&mut self, chunks: &[RayChunk], nx: u32, stride: u32, gsz: u32) {
+    fn build(&mut self, chunks: &[RayChunk], nx: u32, stride: u32, gsz: u32) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // u32 epoch wrapped: old stamps could alias. Reset once.
@@ -1982,7 +1791,7 @@ impl VoxelPixelCsr {
     }
 
     /// Group-local pixel indices whose rays intersect voxel `vid`.
-    pub fn pixels_of(&self, vid: u32) -> &[u32] {
+    fn pixels_of(&self, vid: u32) -> &[u32] {
         debug_assert_eq!(
             self.stamp[vid as usize], self.epoch,
             "voxel {vid} was not interned by this group's rays"
@@ -1999,9 +1808,8 @@ impl VoxelPixelCsr {
 /// strided sampling costs O(stride) word ORs per pixel instead of the
 /// seed's stride² scalar stores, and the mask itself is `gsz²/64` words
 /// instead of `gsz²` bytes.
-#[doc(hidden)]
 #[derive(Debug, Default)]
-pub struct MaskScratch {
+struct MaskScratch {
     /// Geometry the span table was built for (rebuilt only on change —
     /// never, in steady state).
     gsz: u32,
@@ -2015,14 +1823,9 @@ pub struct MaskScratch {
 }
 
 impl MaskScratch {
-    /// A fresh mask scratch (span table built on first `prepare`).
-    pub fn new() -> MaskScratch {
-        MaskScratch::default()
-    }
-
     /// Builds (or keeps) the span table for this group geometry and sizes
     /// the mask words.
-    pub fn prepare(&mut self, gsz: u32, stride: u32) {
+    fn prepare(&mut self, gsz: u32, stride: u32) {
         if self.gsz == gsz && self.stride == stride {
             return;
         }
@@ -2061,13 +1864,13 @@ impl MaskScratch {
 
     /// Clears the mask for the next voxel.
     #[inline]
-    pub fn begin_voxel(&mut self) {
+    fn begin_voxel(&mut self) {
         self.words.fill(0);
     }
 
     /// ORs pixel `pi`'s dilated block into the mask.
     #[inline]
-    pub fn cover(&mut self, pi: u32) {
+    fn cover(&mut self, pi: u32) {
         let (s, e) = (
             self.span_off[pi as usize] as usize,
             self.span_off[pi as usize + 1] as usize,
@@ -2080,27 +1883,20 @@ impl MaskScratch {
     /// `true` when any masked pixel is not yet done: one `mask & !done`
     /// pass over the packed words (the seed scanned `gsz²` bytes).
     #[inline]
-    pub fn any_live(&self, done_words: &[u64]) -> bool {
+    fn any_live(&self, done_words: &[u64]) -> bool {
         self.words.iter().zip(done_words).any(|(m, d)| m & !d != 0)
-    }
-
-    /// The packed mask words of the current voxel (for the `payload`
-    /// bench's blend replay).
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 }
 
-/// Per-splat blend outcome counters (exposed for the `payload` bench).
-#[doc(hidden)]
+/// Per-splat blend outcome counters.
 #[derive(Debug, PartialEq, Eq)]
-pub struct FragOutcome {
+struct FragOutcome {
     /// Guard-passing bbox pixels considered (done or not).
-    pub lanes: u64,
+    lanes: u64,
     /// Pixels actually blended (`alpha >= ALPHA_EPS`, not saturated).
-    pub blended: u64,
+    blended: u64,
     /// Blends that violated front-to-back order beyond the slack.
-    pub violations: u64,
+    violations: u64,
 }
 
 /// On-chip partial pixel state for one group, persisting across voxels.
@@ -2110,13 +1906,11 @@ pub struct FragOutcome {
 /// (`mask & !done`); blending arithmetic is bit-identical to the seed's
 /// byte-per-pixel version — only the bookkeeping representation changed.
 ///
-/// [`GroupBlender::blend`] is the lane-wise production kernel;
-/// [`GroupBlender::blend_reference`] keeps the original pixel-at-a-time
-/// loop verbatim as its bit-exact twin (`PartialEq` compares the full
-/// pixel state, so the `payload` bench can assert replayed equality).
-#[doc(hidden)]
+/// [`GroupBlender::blend`] is the lane-wise kernel. The tests keep the
+/// original pixel-at-a-time loop beside it as `blend_reference` and
+/// compare the full blender state (`PartialEq`) after every splat.
 #[derive(Debug, Default, PartialEq)]
-pub struct GroupBlender {
+struct GroupBlender {
     rect: TileRect,
     size: usize,
     violation_slack: f32,
@@ -2131,17 +1925,12 @@ pub struct GroupBlender {
 
 impl GroupBlender {
     #[inline]
-    fn is_done(&self, pi: usize) -> bool {
-        self.done_words[pi >> 6] >> (pi & 63) & 1 != 0
-    }
-
-    #[inline]
     fn set_done(&mut self, pi: usize) {
         self.done_words[pi >> 6] |= 1 << (pi & 63);
     }
 
     /// Re-initializes the blender for a group (buffers reused in place).
-    pub fn reset(&mut self, rect: TileRect, group_size: u32, voxel_size: f32) {
+    fn reset(&mut self, rect: TileRect, group_size: u32, voxel_size: f32) {
         let n = group_size as usize;
         self.rect = rect;
         self.size = n;
@@ -2176,7 +1965,8 @@ impl GroupBlender {
     /// falloff power is provably below the `alpha < ALPHA_EPS` cutoff
     /// ([`gs_core::ewa::cull_power_threshold`]).
     ///
-    /// Byte-exactness vs [`GroupBlender::blend_reference`]:
+    /// Byte-exactness vs the test-only `blend_reference`, the original
+    /// pixel-at-a-time loop:
     ///
     /// - Per-pixel state is independent (each bbox pixel is visited at
     ///   most once per splat), so skipping done pixels by bitmask instead
@@ -2191,7 +1981,7 @@ impl GroupBlender {
     ///   subtrees, never re-associates), and the exp-cull only skips
     ///   pixels the scalar path would have dropped at `alpha < ALPHA_EPS`
     ///   anyway (no state change, not counted as blended).
-    pub fn blend(&mut self, s: &FineSplat, mask: &[u64]) -> FragOutcome {
+    fn blend(&mut self, s: &FineSplat, mask: &[u64]) -> FragOutcome {
         let n = self.size;
         let mut out = FragOutcome {
             lanes: 0,
@@ -2199,14 +1989,15 @@ impl GroupBlender {
             violations: 0,
         };
         // Restrict to the splat's bbox within the group (same float ops as
-        // the reference twin).
+        // the reference loop).
         let x_lo = (s.mean_px.x - s.radius_px).max(self.rect.x0).floor() as i64;
         let x_hi = (s.mean_px.x + s.radius_px).min(self.rect.x1 - 1.0).ceil() as i64;
         let y_lo = (s.mean_px.y - s.radius_px).max(self.rect.y0).floor() as i64;
         let y_hi = (s.mean_px.y + s.radius_px).min(self.rect.y1 - 1.0).ceil() as i64;
-        // Clamp to the guard-passing group-local pixel ranges: the twin
-        // skips `px < x0 || py < y0` and `lx >= n || ly >= n` per pixel;
-        // both conditions are per-axis, so they clamp the ranges instead.
+        // Clamp to the guard-passing group-local pixel ranges: the
+        // reference loop skips `px < x0 || py < y0` and
+        // `lx >= n || ly >= n` per pixel; both conditions are per-axis,
+        // so they clamp the ranges instead.
         let (x0, y0) = (self.rect.x0 as i64, self.rect.y0 as i64);
         let lx_lo = (x_lo - x0).max(0);
         let lx_hi = (x_hi - x0).min(n as i64 - 1);
@@ -2241,8 +2032,8 @@ impl GroupBlender {
                     let dx = (x0 + (pi - ly as usize * n) as i64) as f32 + 0.5 - s.mean_px.x;
                     let power = row.power_at(dx);
                     if power < cull {
-                        // Guaranteed alpha < ALPHA_EPS: the twin would have
-                        // skipped this pixel after the exp — skip before it.
+                        // Guaranteed alpha < ALPHA_EPS: the reference loop
+                        // skips this pixel after the exp — skip before it.
                         continue;
                     }
                     let alpha =
@@ -2270,9 +2061,16 @@ impl GroupBlender {
         out
     }
 
+    /// Whether group-local pixel `pi` has saturated.
+    #[cfg(test)]
+    fn is_done(&self, pi: usize) -> bool {
+        self.done_words[pi >> 6] >> (pi & 63) & 1 != 0
+    }
+
     /// The pre-overhaul pixel-at-a-time blend loop, kept verbatim as the
-    /// bit-exact reference twin of [`GroupBlender::blend`].
-    pub fn blend_reference(&mut self, s: &FineSplat, mask: &[u64]) -> FragOutcome {
+    /// bit-exact reference [`GroupBlender::blend`] must reproduce.
+    #[cfg(test)]
+    fn blend_reference(&mut self, s: &FineSplat, mask: &[u64]) -> FragOutcome {
         let n = self.size;
         let mut out = FragOutcome {
             lanes: 0,
@@ -2299,7 +2097,10 @@ impl GroupBlender {
                 if self.is_done(pi) {
                     continue;
                 }
-                let d = Vec2::new(px as f32 + 0.5 - s.mean_px.x, py as f32 + 0.5 - s.mean_px.y);
+                let d = gs_core::vec::Vec2::new(
+                    px as f32 + 0.5 - s.mean_px.x,
+                    py as f32 + 0.5 - s.mean_px.y,
+                );
                 let alpha = (s.opacity * gs_core::ewa::falloff(s.conic, d)).min(ALPHA_MAX);
                 if alpha < ALPHA_EPS {
                     continue;
@@ -2323,14 +2124,8 @@ impl GroupBlender {
         out
     }
 
-    /// Count of not-yet-saturated pixels (for the `payload` bench's
-    /// early-exit replay).
-    pub fn live(&self) -> u32 {
-        self.live
-    }
-
     /// Composites the background and writes the group's pixels out.
-    pub fn finish(&self, background: Vec3, pixels: &mut [Vec3]) {
+    fn finish(&self, background: Vec3, pixels: &mut [Vec3]) {
         let n = self.size;
         for ly in 0..n {
             for lx in 0..n {
@@ -2345,10 +2140,17 @@ impl GroupBlender {
     }
 }
 
+/// The golden frame fixture and its canonical encoding, shared with the
+/// integration tests.
+#[cfg(test)]
+#[path = "../tests/golden/mod.rs"]
+mod golden_fixture;
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use golden_fixture as golden;
     use gs_render::{RenderConfig, TileRenderer};
     use gs_scene::{Gaussian, SceneConfig, SceneKind};
 
@@ -2653,10 +2455,10 @@ mod tests {
 
     #[test]
     fn store_path_is_byte_identical_to_cloud_twin() {
-        // With the legacy loop deleted, the cloud twin (same group loop,
-        // different fetch path) is the in-process exactness reference:
-        // image, workload, ledger, violations must agree bit-for-bit on
-        // raw and VQ stores.
+        // The cloud-backed twin render path is gone; the bytes it produced
+        // for these frames are the committed golden rows, recorded while
+        // store path and twin still agreed bit for bit. Image, workload,
+        // ledger and violations are all inside the digest.
         for kind in [SceneKind::Truck, SceneKind::Lego] {
             let scene = kind.build(&SceneConfig::tiny());
             for use_vq in [false, true] {
@@ -2668,9 +2470,9 @@ mod tests {
                     ..Default::default()
                 };
                 let s = StreamingScene::new(scene.trained.clone(), cfg);
-                for cam in &scene.eval_cameras[..2.min(scene.eval_cameras.len())] {
-                    outputs_identical(&s.render(cam), &s.render_cloud_twin(cam));
-                }
+                let row = format!("{}/{}", kind.name(), if use_vq { "vq" } else { "raw" });
+                let out = s.render(&scene.eval_cameras[0]);
+                assert_eq!(golden::frame_digest(&out), golden::digest(&row), "{row}");
             }
         }
     }
@@ -2678,9 +2480,9 @@ mod tests {
     #[test]
     fn cached_strided_store_path_matches_cloud_twin() {
         // Cached + strided configuration: the trace-replayed cache
-        // accounting and the dilated masks must agree across fetch paths.
-        // Two separate scenes so each path advances its own persistent
-        // cache.
+        // accounting and the dilated masks of two consecutive frames (the
+        // second starts from the first's warm cache) must reproduce the
+        // golden rows recorded while the cloud twin agreed with them.
         let scene = SceneKind::Playroom.build(&SceneConfig::tiny());
         let cfg = StreamingConfig {
             voxel_size: scene.voxel_size,
@@ -2689,11 +2491,129 @@ mod tests {
             cache: Some(CacheConfig::default()),
             ..Default::default()
         };
-        let a = StreamingScene::new(scene.trained.clone(), cfg);
-        let b = StreamingScene::new(scene.trained.clone(), cfg);
-        for cam in &scene.eval_cameras[..2.min(scene.eval_cameras.len())] {
-            outputs_identical(&a.render(cam), &b.render_cloud_twin(cam));
+        let s = StreamingScene::new(scene.trained.clone(), cfg);
+        for (i, cam) in scene.eval_cameras[..2].iter().enumerate() {
+            let row = format!("playroom/raw/cache/stride3/cam{i}");
+            let out = s.render(cam);
+            assert!(out.cache.is_some(), "{row}: cache report missing");
+            assert_eq!(golden::frame_digest(&out), golden::digest(&row), "{row}");
         }
+    }
+
+    /// Xorshift stream for the blend property test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u32) -> u32 {
+            (self.next() % u64::from(n)) as u32
+        }
+
+        fn range(&mut self, lo: f32, hi: f32) -> f32 {
+            lo + (hi - lo) * (self.next() >> 40) as f32 / (1u64 << 24) as f32
+        }
+    }
+
+    /// A random splat whose bbox may hang off `rect` by up to 12 px; a
+    /// third are fully opaque, so pixels saturate.
+    fn random_splat(rng: &mut Rng, rect: &TileRect) -> FineSplat {
+        let (a, c) = (rng.range(0.005, 0.8), rng.range(0.005, 0.8));
+        let b = rng.range(-0.9, 0.9) * (a * c).sqrt();
+        FineSplat {
+            mean_px: gs_core::vec::Vec2::new(
+                rng.range(rect.x0 - 12.0, rect.x1 + 12.0),
+                rng.range(rect.y0 - 12.0, rect.y1 + 12.0),
+            ),
+            conic: gs_core::sym::Sym2::new(a, b, c),
+            color: Vec3::new(
+                rng.range(0.0, 1.0),
+                rng.range(0.0, 1.0),
+                rng.range(0.0, 1.0),
+            ),
+            opacity: if rng.below(3) == 0 {
+                1.0
+            } else {
+                rng.range(0.0, 1.0)
+            },
+            depth: rng.range(0.5, 8.0),
+            radius_px: rng.range(0.5, 16.0),
+        }
+    }
+
+    #[test]
+    fn blend_matches_reference_after_every_splat() {
+        // Random streams replayed through the lane-wise kernel and the
+        // reference loop: after every splat the outcome counters and the
+        // whole blender state must be equal. Each stream is a few "voxels"
+        // of depth-sorted splats (so later voxels can violate order), on
+        // full and partial edge groups whose sizes straddle mask words,
+        // under all-set, all-clear and random ray masks. The tallies check
+        // that every one of those cases actually occurred.
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let (mut off_rect, mut partial, mut saturated) = (0u32, 0u32, 0u32);
+        let (mut masked_violations, mut unmasked_blends) = (0u64, 0u64);
+        for case in 0..400 {
+            let gsz = 16 + rng.below(25);
+            let mut edge = || match rng.below(2) {
+                0 => gsz,
+                _ => 1 + rng.below(gsz),
+            };
+            let (w_live, h_live) = (edge(), edge());
+            partial += u32::from(w_live < gsz || h_live < gsz);
+            let (x0, y0) = ((rng.below(3) * gsz) as f32, (rng.below(3) * gsz) as f32);
+            let rect = TileRect {
+                x0,
+                y0,
+                x1: x0 + w_live as f32,
+                y1: y0 + h_live as f32,
+            };
+            let words = (gsz * gsz).div_ceil(64) as usize;
+            let mask: Vec<u64> = match case % 3 {
+                0 => vec![!0; words],
+                1 => vec![0; words],
+                _ => (0..words).map(|_| rng.next()).collect(),
+            };
+            let voxel_size = rng.range(0.1, 2.0);
+            let mut fast = GroupBlender::default();
+            let mut reference = GroupBlender::default();
+            fast.reset(rect, gsz, voxel_size);
+            reference.reset(rect, gsz, voxel_size);
+            let live_at_reset = fast.live;
+            for _voxel in 0..1 + rng.below(8) {
+                let mut splats: Vec<FineSplat> = (0..1 + rng.below(16))
+                    .map(|_| random_splat(&mut rng, &rect))
+                    .collect();
+                splats.sort_unstable_by(|p, q| p.depth.total_cmp(&q.depth));
+                for s in &splats {
+                    off_rect += u32::from(
+                        s.mean_px.x - s.radius_px < rect.x0
+                            || s.mean_px.x + s.radius_px > rect.x1
+                            || s.mean_px.y - s.radius_px < rect.y0
+                            || s.mean_px.y + s.radius_px > rect.y1,
+                    );
+                    let got = fast.blend(s, &mask);
+                    let want = reference.blend_reference(s, &mask);
+                    assert_eq!(got, want, "case {case}: outcome diverged");
+                    assert_eq!(fast, reference, "case {case}: blender state diverged");
+                    if case % 3 == 1 {
+                        assert_eq!(got.violations, 0, "case {case}: unmasked violation");
+                        unmasked_blends += got.blended;
+                    } else {
+                        masked_violations += got.violations;
+                    }
+                }
+            }
+            saturated += u32::from(fast.live < live_at_reset);
+        }
+        assert!(off_rect > 0 && saturated > 0);
+        assert!(partial > 0 && partial < 400, "need full and partial groups");
+        assert!(masked_violations > 0 && unmasked_blends > 0);
     }
 
     #[test]

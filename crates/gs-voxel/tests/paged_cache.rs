@@ -15,6 +15,8 @@
 // Tests may unwrap: a panic is exactly the right failure mode here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod golden;
+
 use gs_mem::cache::CacheConfig;
 use gs_mem::{Direction, Stage};
 use gs_scene::{SceneConfig, SceneKind};
@@ -220,15 +222,29 @@ fn paged_and_resident_backings_agree_under_caching() {
 
 #[test]
 fn cloud_twin_stays_byte_exact_with_cache_enabled() {
+    // The cloud-backed twin is gone; the cached VQ Lego frame it matched
+    // is the committed golden row `lego/vq/cache`. Resident and paged
+    // clones both start cold and must reproduce it.
     let scene = SceneKind::Lego.build(&SceneConfig::tiny());
     let cam = &scene.eval_cameras[0];
     let cfg = StreamingConfig {
         cache: Some(CacheConfig::default()),
+        threads: 1,
         ..vq_config(scene.voxel_size)
     };
-    // Separate clones: the cache is frame-sequence state, so both paths
-    // must start cold to compare.
-    let a = StreamingScene::new(scene.trained.clone(), cfg);
-    let b = a.clone();
-    assert_outputs_identical(&a.render(cam), &b.render_cloud_twin(cam), "cloud twin");
+    let resident = StreamingScene::new(scene.trained.clone(), cfg);
+    let mut paged = resident.clone();
+    paged.page_out(PageConfig::default());
+    for (what, s) in [("resident", &resident), ("paged", &paged)] {
+        let out = s.render(cam);
+        assert!(
+            out.degradation.is_clean(),
+            "fault-free frame degraded: {what}"
+        );
+        assert_eq!(
+            golden::frame_digest(&out),
+            golden::digest("lego/vq/cache"),
+            "cached VQ Lego diverged from its golden row: {what}"
+        );
+    }
 }

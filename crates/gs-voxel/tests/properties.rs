@@ -7,7 +7,7 @@ use gs_core::camera::Camera;
 use gs_core::geom::Ray;
 use gs_core::vec::Vec3;
 use gs_scene::{Gaussian, GaussianCloud};
-use gs_voxel::dda::{reference, traverse, traverse_cells};
+use gs_voxel::dda::{traverse, traverse_cells};
 use gs_voxel::order::{count_order_violations, topological_order};
 use gs_voxel::{StreamingConfig, StreamingScene, VoxelGrid};
 use proptest::prelude::*;
@@ -81,8 +81,8 @@ proptest! {
     ) {
         // The marcher's incrementally maintained linear cell index must
         // equal the recomputed `(z*ny + y)*nx + x` at *every* step (empty
-        // cells included), and the whole walk must match the kept
-        // pre-overhaul reference twin step for step.
+        // cells included). (The walk-vs-reference comparison lives beside
+        // the marcher, in `dda.rs`'s tests.)
         let grid = VoxelGrid::build(&cloud, voxel);
         let (nx, ny, _) = grid.dims();
         let sign = if flip < 0.0 { -1.0 } else { 1.0 };
@@ -97,11 +97,6 @@ proptest! {
             let expect = (z as usize * ny as usize + y as usize) * nx as usize + x as usize;
             prop_assert_eq!(lin, expect, "index drifted at cell {:?}", (x, y, z));
         }
-        prop_assert_eq!(
-            traverse(&grid, &ray, 10_000),
-            reference::traverse(&grid, &ray, 10_000),
-            "marcher diverged from its reference twin"
-        );
     }
 
     #[test]

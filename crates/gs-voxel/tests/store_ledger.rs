@@ -1,9 +1,10 @@
 //! The store-backed data path's contracts:
 //!
 //! 1. **Byte-identical rendering** — the production path (coarse/fine
-//!    phases reading only the [`gs_voxel::VoxelStore`] columns) produces
-//!    bit-for-bit the same image, workload and ledger as the cloud-backed
-//!    reference twin, on every scene kind, with and without VQ.
+//!    phases reading only the [`gs_voxel::VoxelStore`] columns)
+//!    reproduces, on every scene kind with and without VQ, the committed
+//!    golden digest of image, workload, ledger and violations that the
+//!    deleted cloud-backed twin also produced (`tests/golden/frames.txt`).
 //! 2. **Ledger/workload consistency** — the frame's merged
 //!    [`gs_mem::TrafficLedger`] stages agree exactly with the
 //!    `TileWorkload` byte counters (the counters are *derived* from the
@@ -11,9 +12,11 @@
 //! 3. **Bit-exact store decode** — property tests that the second-half
 //!    decode round-trips the raw parameters and the VQ quantizer exactly.
 
+mod golden;
+
 use gs_mem::{Direction, Stage, TrafficLedger};
 use gs_scene::{Gaussian, GaussianCloud, SceneConfig, SceneKind};
-use gs_voxel::{StreamingConfig, StreamingScene, VoxelGrid, VoxelStore};
+use gs_voxel::{StreamingConfig, StreamingOutput, StreamingScene, VoxelGrid, VoxelStore};
 use gs_vq::{GaussianQuantizer, VqConfig};
 use proptest::prelude::*;
 
@@ -39,32 +42,12 @@ fn store_path_is_byte_identical_to_cloud_twin_on_all_scene_kinds() {
         let scene = kind.build(&SceneConfig::tiny());
         let cam = &scene.eval_cameras[0];
         for cfg in [raw_config(scene.voxel_size), vq_config(scene.voxel_size)] {
-            let vq = cfg.use_vq;
-            let prepared = StreamingScene::new(scene.trained.clone(), cfg);
-            let store = prepared.render(cam);
-            let twin = prepared.render_cloud_twin(cam);
+            let row = format!("{}/{}", kind.name(), if cfg.use_vq { "vq" } else { "raw" });
+            let out = StreamingScene::new(scene.trained.clone(), cfg).render(cam);
             assert_eq!(
-                store.image,
-                twin.image,
-                "store-backed image diverged on {} (vq={vq})",
-                kind.name()
-            );
-            assert_eq!(
-                store.workload,
-                twin.workload,
-                "workload diverged on {} (vq={vq})",
-                kind.name()
-            );
-            assert_eq!(
-                store.ledger,
-                twin.ledger,
-                "ledger diverged on {} (vq={vq})",
-                kind.name()
-            );
-            assert_eq!(store.violations.flags, twin.violations.flags);
-            assert_eq!(
-                store.violations.violating_blends,
-                twin.violations.violating_blends
+                golden::frame_digest(&out),
+                golden::digest(&row),
+                "store-backed frame diverged from its golden row {row}"
             );
         }
     }
