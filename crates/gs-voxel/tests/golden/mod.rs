@@ -139,14 +139,19 @@ fn frame_bytes(out: &StreamingOutput) -> Vec<u8> {
     b.0
 }
 
-/// The committed digest of `row`.
-pub fn digest(row: &str) -> u32 {
-    let line = GOLDEN
+/// The committed digest of `row` in `table` (`<row> <crc32 hex>` lines).
+pub fn row_digest(table: &str, row: &str) -> u32 {
+    let line = table
         .lines()
         .find(|l| l.split_whitespace().next() == Some(row))
-        .unwrap_or_else(|| panic!("golden row {row} missing from tests/golden/frames.txt"));
+        .unwrap_or_else(|| panic!("golden row {row} missing from its fixture"));
     let hex = line.split_whitespace().nth(1).expect("row without digest");
     u32::from_str_radix(hex, 16).expect("digest is not hex")
+}
+
+/// The committed digest of `row` in `tests/golden/frames.txt`.
+pub fn digest(row: &str) -> u32 {
+    row_digest(GOLDEN, row)
 }
 
 /// The digest of `out`, comparable with [`digest`].

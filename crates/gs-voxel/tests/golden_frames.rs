@@ -14,10 +14,23 @@
 //! parallel ≡ serial and paged ≡ resident are pinned against fixed bytes,
 //! not only against each other.
 //!
-//! The fixture changes only when a change is *meant* to move output.
-//! Regenerate it with
+//! `tests/golden/images.txt` pins the scene-image writer the same way:
+//! one CRC-32 of `to_scene_bytes()` for tiny Lego, raw and VQ, without
+//! tiers (v2) and with `default_tier_ladder()` (v3). A twin reader would
+//! share any drift with the writer; a committed digest does not. The
+//! digest leaves out the image's metadata-CRC word: a CRC-32 over a
+//! message followed by that message's own CRC is a constant, so digesting
+//! the word would blind the row to the whole metadata prefix (header, id
+//! tables, codebooks, tier directory). The reader re-verifies the word on
+//! every open. The read-only
+//! formats (v1, tierless v3) are pinned by the committed images under
+//! `tests/golden/images/`, which the store, fault-injection and LOD
+//! suites open.
+//!
+//! The fixtures change only when a change is *meant* to move output.
+//! Regenerate them with
 //! `cargo test -p gs-voxel --test golden_frames -- --ignored --nocapture`
-//! and copy the printed rows over the file.
+//! and copy the printed rows over the files.
 
 // Tests may unwrap: a panic is exactly the right failure mode here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -26,6 +39,7 @@ mod golden;
 
 use gs_core::camera::Camera;
 use gs_mem::cache::CacheConfig;
+use gs_mem::crc::{crc32, Crc32};
 use gs_scene::{SceneConfig, SceneKind};
 use gs_voxel::{PageConfig, StreamingConfig, StreamingOutput, StreamingScene};
 use gs_vq::VqConfig;
@@ -46,6 +60,17 @@ const PLAYROOM_CACHED_ROWS: [&str; 2] = [
 ];
 /// Row of the cached VQ Lego frame.
 const LEGO_CACHED_ROW: &str = "lego/vq/cache";
+
+/// The committed scene-image digests, one `<row> <crc32 hex>` per writer
+/// variant.
+const IMAGES: &str = include_str!("golden/images.txt");
+/// The writer variants `images.txt` pins: (row, VQ, LOD tiers).
+const IMAGE_ROWS: [(&str, bool, bool); 4] = [
+    ("lego/raw/v2", false, false),
+    ("lego/vq/v2", true, false),
+    ("lego/raw/tiers/v3", false, true),
+    ("lego/vq/tiers/v3", true, true),
+];
 
 fn matrix_row(kind: SceneKind, use_vq: bool) -> String {
     format!("{}/{}", kind.name(), if use_vq { "vq" } else { "raw" })
@@ -108,6 +133,38 @@ fn cached() -> Vec<Sequence> {
             cams: vec![lego.eval_cameras[0]],
         },
     ]
+}
+
+/// The scene image of tiny Lego (with the default tier ladder when
+/// `tiers` is set) and its `images.txt` digest: CRC-32 of every byte but
+/// the metadata-CRC word (see the module docs).
+fn scene_image(use_vq: bool, tiers: bool) -> (Vec<u8>, u32) {
+    let lego = SceneKind::Lego.build(&SceneConfig::tiny());
+    let cfg = StreamingConfig {
+        tiers: if tiers {
+            StreamingConfig::default_tier_ladder()
+        } else {
+            [None; 3]
+        },
+        ..config(lego.voxel_size, use_vq)
+    };
+    let scene = StreamingScene::new(lego.trained, cfg);
+    let store = scene.store();
+    let image = store.to_scene_bytes();
+    // The columns close the image; the metadata CRC sits just before them.
+    let columns = store.coarse_column_bytes()
+        + store.fine_column_bytes()
+        + (0..store.tier_count())
+            .map(|t| store.tier_column_bytes(t))
+            .sum::<u64>();
+    let meta_end = image.len() - columns as usize;
+    let meta = &image[..meta_end - 4];
+    assert_eq!(image[meta_end - 4..meta_end], crc32(meta).to_le_bytes());
+    let digest = Crc32::new()
+        .update(meta)
+        .update(&image[meta_end..])
+        .finish();
+    (image, digest)
 }
 
 /// Renders `cams` in order on `scene` and returns the frame digests.
@@ -177,6 +234,33 @@ fn fixture_has_one_row_per_golden_frame() {
     expected.extend(PLAYROOM_CACHED_ROWS.map(String::from));
     expected.push(LEGO_CACHED_ROW.to_string());
     assert_eq!(rows, expected, "fixture rows out of step with the matrix");
+}
+
+#[test]
+fn scene_images_match_goldens() {
+    let rows: Vec<&str> = IMAGES
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(rows, IMAGE_ROWS.map(|(row, ..)| row), "images.txt rows");
+    for (row, use_vq, tiers) in IMAGE_ROWS {
+        let (image, got) = scene_image(use_vq, tiers);
+        let version = u32::from_le_bytes(image[4..8].try_into().unwrap());
+        assert_eq!(version, if tiers { 3 } else { 2 }, "{row}: format version");
+        let want = golden::row_digest(IMAGES, row);
+        assert_eq!(got, want, "{row}: digest {got:08x}, golden {want:08x}");
+    }
+}
+
+/// Prints the scene-image fixture. Run only to regenerate
+/// `tests/golden/images.txt` after a change that is meant to move the
+/// image bytes.
+#[test]
+#[ignore]
+fn print_image_table() {
+    for (row, use_vq, tiers) in IMAGE_ROWS {
+        println!("{row} {:08x}", scene_image(use_vq, tiers).1);
+    }
 }
 
 /// Prints the fixture (resident, one thread). Run only to regenerate
