@@ -21,7 +21,7 @@
 //! trajectory), `exact_ok` (paged ≡ resident everywhere) and `priced_ok`
 //! (the accelerator model's DRAM bytes equal the ledger's burst-rounded
 //! miss traffic exactly). CI persists the line as `BENCH_cache.json` next
-//! to `BENCH_hotpath.json` / `BENCH_traffic.json`.
+//! to `BENCH_traffic.json`.
 
 // Benches may unwrap: a panic is exactly the right failure mode here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]

@@ -6,38 +6,27 @@
 use gs_accel::scaling::{scale_render_stats, ScaleFactors};
 use gs_accel::GpuModel;
 use gs_bench::fmt::{banner, Table};
-use gs_bench::hotpath::load_report;
 use gs_bench::setup::build_scene;
 use gs_render::{RenderConfig, TileRenderer};
 use gs_scene::SceneKind;
+use std::time::Instant;
 
 fn main() {
     banner("Fig. 3 — 3DGS FPS on a mobile SoC (Orin NX model, native workload scale)");
     println!("paper: 2–9 FPS; synthetic ≈8.5 avg, real-world ≈4.9 avg\n");
 
-    // CPU-measured hot-path numbers (persisted by CI as BENCH_hotpath.json)
-    // print next to the modeled ones so algorithmic wins on the host and
-    // modeled-hardware wins stay separable.
-    let report = load_report();
-    let measured_fps = |name: &str| -> String {
-        report
-            .as_ref()
-            .and_then(|r| r.scenes.iter().find(|s| s.scene == name))
-            .map(|s| format!("{:.1}", s.optimized_fps))
-            .unwrap_or_else(|| "-".to_string())
-    };
-
     let renderer = TileRenderer::new(RenderConfig::default());
     let gpu = GpuModel::default();
-    // NB: the measured column is from the hotpath bench's *tiny* stand-in
-    // scenes — the model column is at native workload scale. They share a
-    // row for convenience, not comparability; the header says so.
+    // The measured column times this host's tile renderer on the bench's
+    // stand-in scene (min of 3 renders); the model column is at native
+    // workload scale. They share a row for convenience, not
+    // comparability; the header says so.
     let mut table = Table::new(&[
         "scene",
         "type",
         "native_gaussians",
         "fps(model,native)",
-        "cpu_fps(measured,tiny)",
+        "cpu_ms(measured)",
     ]);
     let mut synth = Vec::new();
     let mut real = Vec::new();
@@ -45,7 +34,15 @@ fn main() {
     for kind in SceneKind::ALL {
         let scene = build_scene(kind);
         let cam = &scene.eval_cameras[0];
-        let out = renderer.render(&scene.trained, cam);
+        let timed_render = || {
+            let t0 = Instant::now();
+            let out = renderer.render(&scene.trained, cam);
+            (out, t0.elapsed().as_secs_f64() * 1e3)
+        };
+        let (out, mut cpu_ms) = timed_render();
+        for _ in 1..3 {
+            cpu_ms = cpu_ms.min(timed_render().1);
+        }
         let f = ScaleFactors::for_scene(kind, scene.trained.len(), cam.width(), cam.height());
         let stats = scale_render_stats(&out.stats, &f);
         let fps = gpu.evaluate(&stats).fps();
@@ -64,7 +61,7 @@ fn main() {
             .to_string(),
             kind.native_gaussians().to_string(),
             format!("{fps:.1}"),
-            measured_fps(kind.name()),
+            format!("{cpu_ms:.2}"),
         ]);
     }
     println!("{table}");
@@ -75,35 +72,4 @@ fn main() {
         avg(&real)
     );
     println!("paper    -> synthetic avg 8.5 FPS | real-world avg 4.9 FPS");
-
-    if let Some(r) = &report {
-        println!();
-        println!("CPU hot-path (measured, tiny scenes; from BENCH_hotpath.json):");
-        let mut t = Table::new(&["scene", "naive_fps", "optimized_fps", "speedup", "mt_fps"]);
-        for s in &r.scenes {
-            t.row(&[
-                s.scene.clone(),
-                format!("{:.1}", s.naive_fps),
-                format!("{:.1}", s.optimized_fps),
-                format!("{:.2}x", s.speedup),
-                s.mt_fps.map(|f| format!("{f:.1}")).unwrap_or("-".into()),
-            ]);
-        }
-        println!("{t}");
-        if let Some(st) = &r.stages {
-            println!(
-                "front-end stages ({}): project {:.3} ms -> {:.3} ms | bin {:.3} ms -> {:.3} ms | raster {:.3} ms | front-end speedup {:.2}x @ {} workers",
-                st.scene,
-                st.project_ms,
-                st.project_mt_ms,
-                st.bin_ms,
-                st.bin_mt_ms,
-                st.raster_ms,
-                st.front_end_speedup,
-                r.mt_threads,
-            );
-        }
-    } else {
-        println!("(no BENCH_hotpath.json found — run `cargo bench -p gs-bench --bench hotpath` and save the HOTPATH_JSON line to print measured CPU numbers here)");
-    }
 }

@@ -8,7 +8,6 @@
 
 use gs_baselines::{light_gaussian, mini_splatting, LightGaussianConfig, MiniSplattingConfig};
 use gs_bench::fmt::{banner, pct, Table};
-use gs_bench::hotpath::load_report;
 use gs_bench::setup::{bench_scale, build_scene};
 use gs_bench::variants::{evaluate_scene, SceneEvaluation, Variant};
 use gs_scene::{GaussianCloud, Scene, SceneKind};
@@ -77,10 +76,6 @@ fn main() {
         "vs_GSCore_energy",
     ]);
 
-    // Per-scene modeled StreamingGS speedups from the 3DGS pass, joined
-    // below with the CPU-measured hot-path speedups when available.
-    let mut modeled_by_scene: Vec<(&'static str, f64)> = Vec::new();
-
     for algo in ["3DGS", "Mini-Splatting", "LightGaussian"] {
         // Average ratios per dataset group, then across groups.
         let mut speedups = [0.0f64; 4];
@@ -94,9 +89,6 @@ fn main() {
                 let scene = build_scene(*kind);
                 let cloud = algorithm_cloud(&scene, algo);
                 let eval: SceneEvaluation = evaluate_scene(&scene, &cloud, &vq, false);
-                if algo == "3DGS" {
-                    modeled_by_scene.push((kind.name(), eval.speedup(Variant::StreamingGs)));
-                }
                 for (i, v) in VARIANTS.iter().enumerate() {
                     gs[i] += eval.speedup(*v);
                     ge[i] += eval.energy_saving(*v);
@@ -138,37 +130,4 @@ fn main() {
     println!("Speedup over GPU:\n{speed}");
     println!("Energy savings over GPU:\n{energy}");
     println!("Auxiliary (paper: kill 76.3%, VQ reduction 92.3%, 2.1x / 2.3x vs GSCore):\n{aux}");
-
-    // CPU-measured hot-path speedups (BENCH_hotpath.json, persisted by CI)
-    // side by side with the modeled-hardware StreamingGS speedups: the
-    // left column is what the host CPU actually gained from the software
-    // hot-path work, the right what the modeled accelerator adds on top.
-    if let Some(r) = load_report() {
-        let mut t = Table::new(&[
-            "scene",
-            "cpu_measured_speedup",
-            "modeled_StreamingGS_speedup",
-        ]);
-        for s in &r.scenes {
-            let modeled = modeled_by_scene
-                .iter()
-                .find(|(name, _)| *name == s.scene)
-                .map(|(_, v)| format!("{v:.1}x"))
-                .unwrap_or_else(|| "-".to_string());
-            t.row(&[s.scene.clone(), format!("{:.2}x", s.speedup), modeled]);
-        }
-        println!("CPU-measured (hotpath bench) vs modeled hardware (3DGS rows):\n{t}");
-        if let Some(st) = &r.stages {
-            println!(
-                "front-end ({}): serial {:.3} ms vs parallel {:.3} ms -> {:.2}x @ {} workers",
-                st.scene,
-                st.project_ms + st.bin_ms,
-                st.project_mt_ms + st.bin_mt_ms,
-                st.front_end_speedup,
-                r.mt_threads,
-            );
-        }
-    } else {
-        println!("(no BENCH_hotpath.json — measured-vs-modeled table skipped)");
-    }
 }

@@ -13,8 +13,7 @@
 //! The run ends with one machine-readable `TRAFFIC_JSON {...}` line:
 //! per-scene stage bytes, the second-half reduction (paper bar ≥ 90 %),
 //! and `ledger_ok` (ledger stages exactly equal the workload byte
-//! counters). CI persists the line as `BENCH_traffic.json` next to
-//! `BENCH_hotpath.json`.
+//! counters). CI persists the line as `BENCH_traffic.json`.
 
 use gs_accel::StreamingGsModel;
 use gs_bench::fmt::{banner, mb, pct, Table};

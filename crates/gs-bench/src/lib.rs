@@ -10,11 +10,9 @@
 //! stand-in scenes).
 
 pub mod fmt;
-pub mod hotpath;
 pub mod setup;
 pub mod variants;
 
 pub use fmt::Table;
-pub use hotpath::{load_report, HotpathReport};
 pub use setup::{bench_scale, build_scene, BenchScale};
 pub use variants::{evaluate_scene, SceneEvaluation, Variant};

@@ -970,10 +970,9 @@ const D006_CRATES: [&str; 5] = [
 /// floats inside a loop without an inline allow. Each entry is
 /// (workspace-relative path suffix, fn name); the list is mirrored (with
 /// the *why*) in `docs/DETERMINISM.md`, so additions must touch both.
-const D006_BLESSED: [(&str, &str); 3] = [
+const D006_BLESSED: [(&str, &str); 2] = [
     ("gs-voxel/src/streaming.rs", "blend"),
     ("gs-render/src/rasterize.rs", "rasterize_tile"),
-    ("gs-render/src/reference.rs", "rasterize_tile_reference"),
 ];
 
 /// Float scalar/vector types whose bindings seed the D006 name set.

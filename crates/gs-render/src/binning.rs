@@ -303,8 +303,10 @@ pub fn bin_and_sort_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::projection::{project_cloud, tile_grid};
     use gs_core::sym::Sym2;
     use gs_core::vec::{Vec2, Vec3};
+    use gs_scene::{SceneConfig, SceneKind};
 
     fn splat(depth: f32, rect: (u32, u32, u32, u32)) -> Splat {
         Splat {
@@ -316,6 +318,29 @@ mod tests {
             tile_rect: rect,
             bbox_px: crate::projection::FULL_BBOX,
         }
+    }
+
+    #[test]
+    fn reference_binning_matches_counting_sort() {
+        // The counting sort must emit exactly the keys a global comparison
+        // sort by (tile, depth, splat) would: strictly increasing, one per
+        // covered tile.
+        let scene = SceneKind::Lego.build(&SceneConfig::tiny());
+        let cam = &scene.eval_cameras[0];
+        let splats: Vec<Splat> = project_cloud(scene.trained.as_slice(), cam, 3)
+            .into_iter()
+            .map(|(_, s)| s)
+            .collect();
+        let (tiles_x, tiles_y) = tile_grid(cam.width(), cam.height());
+        let (keys, _) = bin_and_sort(&splats, tiles_x, tiles_y);
+        assert!(!keys.is_empty());
+        assert!(
+            keys.windows(2)
+                .all(|w| (w[0].key, w[0].splat) < (w[1].key, w[1].splat)),
+            "keys must be strictly increasing by (key, splat)"
+        );
+        let pairs: u64 = splats.iter().map(Splat::tile_count).sum();
+        assert_eq!(keys.len() as u64, pairs);
     }
 
     #[test]

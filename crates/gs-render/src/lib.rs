@@ -17,9 +17,10 @@
 //!
 //! ## Hot-path architecture
 //!
-//! The CPU hot path is organized around three optimizations (PR 1), each of
-//! which preserves bit-identical output with the seed pipeline (kept alive
-//! in [`reference`] and asserted by `tests/exactness.rs`):
+//! The CPU hot path is organized around the optimizations below. Its
+//! output — image and every [`stats::RenderStats`] counter — is pinned by
+//! committed golden digests (`tests/exactness.rs` against
+//! `tests/golden/render_frames.txt`) at one, two and all worker threads:
 //!
 //! * **Footprint-clipped rasterization** — projection derives each splat's
 //!   conservative screen-space support rectangle from the conic's extent
@@ -43,10 +44,6 @@
 //!   to the serial path for every worker count — see the determinism
 //!   contracts in the [`projection`] and [`binning`] module docs.
 //!
-//! Run `cargo bench -p gs-bench --bench hotpath` for the measured
-//! naive-vs-optimized frame rates and front-end stage timings
-//! (machine-readable JSON on stdout).
-//!
 //! ## Example
 //!
 //! ```
@@ -65,7 +62,6 @@ pub mod binning;
 pub mod pool;
 pub mod projection;
 pub mod rasterize;
-pub mod reference;
 pub mod renderer;
 pub mod stats;
 pub mod traffic;

@@ -137,22 +137,11 @@ pub fn tile_rect_of(
 /// Projects every Gaussian of `cloud` through `cam`; returns the surviving
 /// splats (with per-splat tile rectangles) in input order, paired with the
 /// index of the source Gaussian.
-pub fn project_cloud(cloud: &[Gaussian], cam: &Camera, sh_degree: u8) -> Vec<(u32, Splat)> {
+#[cfg(test)]
+pub(crate) fn project_cloud(cloud: &[Gaussian], cam: &Camera, sh_degree: u8) -> Vec<(u32, Splat)> {
     let mut out = Vec::with_capacity(cloud.len());
-    project_cloud_into(cloud, cam, sh_degree, &mut out);
-    out
-}
-
-/// [`project_cloud`] into a caller-owned buffer (cleared first), so the
-/// renderer's frame arena can reuse one allocation across frames.
-pub fn project_cloud_into(
-    cloud: &[Gaussian],
-    cam: &Camera,
-    sh_degree: u8,
-    out: &mut Vec<(u32, Splat)>,
-) {
-    out.clear();
     project_each(cloud, cam, sh_degree, |i, s| out.push((i, s)));
+    out
 }
 
 /// Projection for the renderer hot path: keeps only the splats (the source

@@ -4,10 +4,9 @@
 //! intersection of its screen-space support rectangle
 //! ([`crate::projection::Splat::bbox_px`]) with the tile, instead of
 //! scanning all `TILE_SIZE × TILE_SIZE` pixels per splat as the seed
-//! pipeline (kept in [`crate::reference`]) does. The bbox is conservative —
-//! every excluded pixel is guaranteed below [`ALPHA_EPS`] — so the blend
-//! state, image and all counters except redundant below-threshold
-//! evaluations are bit-identical to the naive scan.
+//! pipeline did. The bbox is conservative — every excluded pixel is
+//! guaranteed below [`ALPHA_EPS`] — so the blend state, image and every
+//! counter are bit-identical to a full-tile scan.
 
 use crate::binning::TileKey;
 use crate::projection::Splat;
@@ -21,9 +20,8 @@ pub struct TileOutcome {
     pub fragments: u64,
     /// Fragments evaluated inside a splat's support rectangle but below the
     /// alpha threshold. (Pixels outside the support are *proven* below
-    /// threshold and are neither evaluated nor counted — the naive
-    /// reference scan applies the same counting rule so the two pipelines
-    /// agree counter-for-counter.)
+    /// threshold and are neither evaluated nor counted, so the count does
+    /// not depend on the clipping.)
     pub skipped: u64,
     /// Pixels that exhausted transmittance before the list ended.
     pub early_terminated: u64,
@@ -64,7 +62,7 @@ impl TileScratch {
 /// range of pixel *indices* whose centres (`p + 0.5`) fall inside it.
 /// Saturating casts make infinite bboxes degrade to full scans.
 #[inline]
-pub(crate) fn pixel_span(lo: f32, hi: f32) -> (i64, i64) {
+fn pixel_span(lo: f32, hi: f32) -> (i64, i64) {
     ((lo - 0.5).ceil() as i64, (hi - 0.5).floor() as i64)
 }
 

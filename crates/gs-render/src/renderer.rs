@@ -2,10 +2,8 @@
 //!
 //! The hot path is allocation-free in steady state: all intermediate
 //! buffers live in a [`FrameArena`] and tile rasterization runs on a
-//! persistent [`WorkerPool`], both reused across frames (the seed pipeline
-//! re-allocated every buffer and re-spawned every worker per frame; that
-//! version survives as [`crate::reference`] for exactness testing and
-//! benchmarking).
+//! persistent [`WorkerPool`], both reused across frames. Committed golden
+//! digests (`tests/exactness.rs`) pin its output.
 
 use crate::arena::{FrameArena, TileChunk, TILE_PIXELS};
 use crate::binning::{bin_and_sort_into, bin_and_sort_parallel};
@@ -252,15 +250,10 @@ impl TileRenderer {
         };
         RenderOutput { image, stats }
     }
-
-    /// Renders several views, returning per-view outputs.
-    pub fn render_views(&self, cloud: &GaussianCloud, cams: &[Camera]) -> Vec<RenderOutput> {
-        cams.iter().map(|c| self.render(cloud, c)).collect()
-    }
 }
 
 /// Top-left pixel of a tile index in a `tiles_x`-wide grid.
-pub(crate) fn tile_origin(tile_index: usize, tiles_x: u32) -> (u32, u32) {
+fn tile_origin(tile_index: usize, tiles_x: u32) -> (u32, u32) {
     let tx = tile_index as u32 % tiles_x;
     let ty = tile_index as u32 / tiles_x;
     (tx * TILE_SIZE, ty * TILE_SIZE)

@@ -1,11 +1,12 @@
-//! Bit-exactness of the optimized hot path against the naive reference.
+//! Bit-exactness of the tile renderer against committed golden digests.
 //!
 //! The optimized pipeline (bbox-clipped rasterization + counting-sort
-//! binning + frame arena + worker pool) must produce the **identical**
-//! image and the **identical** `RenderStats` — every counter, including
-//! `skipped_fragments` under the shared counting rule (see
-//! `gs_render::reference`) — as the seed pipeline preserved in
-//! `gs_render::reference`, on every stand-in scene.
+//! binning + frame arena + worker pool) must reproduce the **identical**
+//! image and the **identical** `RenderStats` — every counter — that the
+//! seed pipeline produced, on every stand-in scene. The digests were
+//! recorded while the naive seed renderer still lived in the tree and
+//! matched it bit for bit, so they keep pinning the paper's tile-centric
+//! baseline (Fig. 2) that every PSNR reference and workload count uses.
 //!
 //! Each row of `tests/golden/render_frames.txt` is `<row> <crc32>`: the
 //! `gs_mem::crc::crc32` of one frame's canonical bytes (image f32 bits,
@@ -22,7 +23,6 @@
 
 use gs_core::camera::Camera;
 use gs_mem::crc::crc32;
-use gs_render::reference::render_reference;
 use gs_render::{RenderConfig, RenderOutput, TileRenderer};
 use gs_scene::{GaussianCloud, SceneConfig, SceneKind};
 
@@ -127,33 +127,6 @@ fn assert_goldens(frames: &[Frame]) {
 
 #[test]
 fn optimized_matches_reference_on_all_scenes() {
-    let cfg = RenderConfig {
-        threads: 1,
-        ..RenderConfig::default()
-    };
-    for kind in SceneKind::ALL {
-        let scene = kind.build(&SceneConfig::tiny());
-        let cam = &scene.eval_cameras[0];
-        for (label, cloud) in [
-            ("trained", &scene.trained),
-            ("ground_truth", &scene.ground_truth),
-        ] {
-            let opt = TileRenderer::new(cfg).render(cloud, cam);
-            let naive = render_reference(&cfg, cloud, cam);
-            assert_eq!(
-                opt.image,
-                naive.image,
-                "optimized image diverged from reference on {} ({label})",
-                kind.name()
-            );
-            assert_eq!(
-                opt.stats,
-                naive.stats,
-                "optimized counters diverged from reference on {} ({label})",
-                kind.name()
-            );
-        }
-    }
     assert_goldens(&scene_frames());
 }
 
@@ -161,17 +134,6 @@ fn optimized_matches_reference_on_all_scenes() {
 fn optimized_matches_reference_on_every_eval_camera() {
     // Multiple viewpoints of one scene, catching view-dependent edge cases
     // (partial tiles, off-centre splats, frustum-edge Jacobian clamps).
-    let cfg = RenderConfig {
-        threads: 1,
-        ..RenderConfig::default()
-    };
-    let scene = SceneKind::Truck.build(&SceneConfig::tiny());
-    for cam in &scene.eval_cameras {
-        let opt = TileRenderer::new(cfg).render(&scene.trained, cam);
-        let naive = render_reference(&cfg, &scene.trained, cam);
-        assert_eq!(opt.image, naive.image);
-        assert_eq!(opt.stats, naive.stats);
-    }
     assert_goldens(&truck_frames());
 }
 

@@ -31,6 +31,11 @@ proptest! {
         let (keys, ranges) = bin_and_sort(&splats, 8, 6);
         let expect: u64 = splats.iter().map(|s| s.tile_count()).sum();
         prop_assert_eq!(keys.len() as u64, expect);
+        // Keys come out strictly increasing by (key, splat): the order a
+        // global comparison sort would produce.
+        for w in keys.windows(2) {
+            prop_assert!((w[0].key, w[0].splat) < (w[1].key, w[1].splat), "keys out of order");
+        }
         // Ranges partition the key array.
         let mut covered = 0u32;
         for (a, b) in &ranges {

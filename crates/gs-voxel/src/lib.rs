@@ -85,7 +85,7 @@
 //! Deterministic fault injection ([`store::FaultPolicy`], seeded and
 //! keyed on read offset + attempt only) drives the recovery suites
 //! (`tests/fault_injection.rs`, `tests/fuzz_scene_image.rs`) and the
-//! `robust` bench.
+//! `perfbench` `paged-churn` workload.
 //!
 //! The functional renderer also measures everything the accelerator model
 //! needs ([`workload`]) and the depth-order violations that the

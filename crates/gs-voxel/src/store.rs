@@ -83,9 +83,10 @@
 //!
 //! Chunks never split a record (they are slot-aligned), so a page fetch
 //! verifies by reading the chunk-aligned cover of its slots. **Version-1
-//! images** (six-word header, no tables, no metadata CRC) remain readable:
-//! verification is skipped and the effective [`PageConfig`] reports
-//! `verify_checksums: false` (see [`VoxelStore::page_config`]).
+//! images** (six-word header, no tables, no metadata CRC) are read-only:
+//! no writer emits them, they still open with verification skipped and
+//! the effective [`PageConfig`] reports `verify_checksums: false` (see
+//! [`VoxelStore::page_config`]).
 //!
 //! ## Scene-image format (version 3): LOD tiers
 //!
@@ -98,8 +99,11 @@
 //! table — and the tier record columns appended after the fine column.
 //! Every tier column pages, verifies and dead-marks independently
 //! (`ColumnKind::Tier(n)`), per (tier, page). The full spec lives in
-//! `docs/SCENE_IMAGE.md`. Tierless stores keep writing v2, bit-identically
-//! to before; v2/v1 images open as single-tier stores.
+//! `docs/SCENE_IMAGE.md`. Tierless stores write v2, bit-identically to
+//! before; v2/v1 images and tierless v3 images (read-only, no writer
+//! emits them) open as single-tier stores. Committed images under
+//! `tests/golden/images/` pin that v1 and tierless v3 stay readable, and
+//! `tests/golden/images.txt` pins the v2/v3 writer's bytes.
 //!
 //! ## Error contract
 //!
@@ -144,14 +148,13 @@ const SCENE_MAGIC: u32 = 0x4753_5653;
 /// The single-tier checksummed format version (written for stores with no
 /// extra tiers; still the most common image on disk).
 const SCENE_VERSION: u32 = 2;
-/// The pre-checksum format version (still readable, never written by
-/// default).
+/// The pre-checksum format version (read-only: no writer emits it).
 const SCENE_VERSION_V1: u32 = 1;
 /// The tiered format version: a v2-shaped body plus a tier directory and
 /// per-tier second-half columns with their own CRC chunk tables (see the
 /// `docs/SCENE_IMAGE.md` spec). Written whenever the store carries extra
-/// tiers; a tierless v3 image is byte-compatible with v2 except for the
-/// version word and a zero tier count.
+/// tiers; a tierless v3 image (read-only) is byte-compatible with v2
+/// except for the version word and a zero tier count.
 const SCENE_VERSION_V3: u32 = 3;
 /// Serialized tier-directory kind tag: raw (SH-truncated prefix) records.
 const TIER_KIND_RAW: u32 = 0;
@@ -1776,82 +1779,30 @@ impl VoxelStore {
     /// Serializes the store into its compact scene image (see the module
     /// docs for the layout): version 2 when the store is single-tier, the
     /// tiered version 3 when extra LOD tiers were built — so legacy stores
-    /// keep producing bit-identical v2 images.
+    /// keep producing bit-identical v2 images. No writer emits version 1
+    /// or a tierless version 3; those images stay readable.
     /// [`VoxelStore::open_paged_bytes`] / [`VoxelStore::open_paged_file`]
     /// reopen the image with demand-paged columns, bit-exactly. Fails only
     /// when `self` is itself paged and a page read fails.
     pub fn try_to_scene_bytes(&self) -> Result<Vec<u8>, StoreError> {
-        if self.tiers.is_empty() {
-            self.serialize_scene(SCENE_VERSION)
-        } else {
-            self.serialize_scene(SCENE_VERSION_V3)
-        }
-    }
-
-    /// Serializes a **version-3** image even for a single-tier store (zero
-    /// extra tiers in the directory) — the compatibility-suite shape
-    /// proving v3 ⊇ v2.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self` is paged and a page read fails.
-    pub fn to_scene_bytes_v3(&self) -> Vec<u8> {
-        match self.serialize_scene(SCENE_VERSION_V3) {
-            Ok(image) => image,
-            Err(e) => panic!("to_scene_bytes_v3: {e}"),
-        }
-    }
-
-    /// [`VoxelStore::try_to_scene_bytes`], panicking on error —
-    /// infallible over resident columns.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self` is paged and a page read fails.
-    pub fn to_scene_bytes(&self) -> Vec<u8> {
-        match self.try_to_scene_bytes() {
-            Ok(image) => image,
-            Err(e) => panic!("to_scene_bytes: {e}"),
-        }
-    }
-
-    /// Serializes the pre-checksum version-1 image (no CRC tables) — kept
-    /// for back-compat tests and benches only.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self` is paged and a page read fails.
-    #[doc(hidden)]
-    pub fn to_scene_bytes_v1(&self) -> Vec<u8> {
-        match self.serialize_scene(SCENE_VERSION_V1) {
-            Ok(image) => image,
-            Err(e) => panic!("to_scene_bytes_v1: {e}"),
-        }
-    }
-
-    fn serialize_scene(&self, version: u32) -> Result<Vec<u8>, StoreError> {
         let n_slots = self.len();
         let width = self.fine_bytes_per_gaussian() as usize;
-        // Serializing a tiered store as v2/v1 silently drops the tiers —
-        // those formats cannot express them and remain bit-compatible.
-        let tiers: &[TierColumn] = if version >= SCENE_VERSION_V3 {
-            &self.tiers
-        } else {
-            &[]
-        };
+        let tiers = &self.tiers;
         let mut out = Vec::new();
         let mut header = vec![
             SCENE_MAGIC,
-            version,
+            if tiers.is_empty() {
+                SCENE_VERSION
+            } else {
+                SCENE_VERSION_V3
+            },
             if self.is_vq() { FLAG_VQ } else { 0 },
             header_u32(self.voxel_count(), "voxel count exceeds u32 header field")?,
             header_u32(n_slots, "slot count exceeds u32 header field")?,
             header_u32(width, "record width exceeds u32 header field")?,
+            CRC_CHUNK_SLOTS,
         ];
-        if version >= SCENE_VERSION {
-            header.push(CRC_CHUNK_SLOTS);
-        }
-        if version >= SCENE_VERSION_V3 {
+        if !tiers.is_empty() {
             header.push(header_u32(
                 tiers.len(),
                 "tier count exceeds u32 header field",
@@ -1895,56 +1846,67 @@ impl VoxelStore {
             }
             tier_cols.push(col);
         }
-        if version >= SCENE_VERSION {
-            // Chunks are slot-aligned, so `chunks()` over the raw column
-            // yields exactly ceil(n_slots / CRC_CHUNK_SLOTS) windows.
-            for (col, rb) in [(&coarse_col, COARSE_BYTES), (&fine_col, width)] {
-                for chunk in col.chunks((CRC_CHUNK_SLOTS as usize * rb).max(1)) {
-                    out.extend_from_slice(&crc32(chunk).to_le_bytes());
-                }
+        // Chunks are slot-aligned, so `chunks()` over the raw column
+        // yields exactly ceil(n_slots / CRC_CHUNK_SLOTS) windows.
+        for (col, rb) in [(&coarse_col, COARSE_BYTES), (&fine_col, width)] {
+            for chunk in col.chunks((CRC_CHUNK_SLOTS as usize * rb).max(1)) {
+                out.extend_from_slice(&crc32(chunk).to_le_bytes());
             }
-            // v3 tier directory: per tier, a six-word descriptor, the
-            // tier-slot tables, the tier codebooks (VQ images), then the
-            // tier column's own CRC chunk table — all covered by the one
-            // metadata CRC below.
-            for (t, col) in tiers.iter().zip(&tier_cols) {
-                let kind = match &t.codec {
-                    TierCodec::Raw => TIER_KIND_RAW,
-                    TierCodec::Vq(_) => TIER_KIND_VQ,
-                };
-                for v in [
-                    kind,
-                    u32::from(t.spec.sh_degree),
-                    u32::from(t.spec.keep_permille),
-                    u32::from(t.spec.codebook_shift),
-                    header_u32(t.record_bytes, "tier record width exceeds u32")?,
-                    header_u32(t.slots.len(), "tier slot count exceeds u32")?,
-                ] {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                for &(a, b) in &t.ranges {
-                    out.extend_from_slice(&a.to_le_bytes());
-                    out.extend_from_slice(&b.to_le_bytes());
-                }
-                for &slot in &t.slots {
-                    out.extend_from_slice(&slot.to_le_bytes());
-                }
-                if let TierCodec::Vq(cb) = &t.codec {
-                    write_codebooks(cb, &mut out);
-                }
-                for chunk in col.chunks((CRC_CHUNK_SLOTS as usize * t.record_bytes).max(1)) {
-                    out.extend_from_slice(&crc32(chunk).to_le_bytes());
-                }
-            }
-            let meta = crc32(&out);
-            out.extend_from_slice(&meta.to_le_bytes());
         }
+        // v3 tier directory: per tier, a six-word descriptor, the
+        // tier-slot tables, the tier codebooks (VQ images), then the
+        // tier column's own CRC chunk table — all covered by the one
+        // metadata CRC below.
+        for (t, col) in tiers.iter().zip(&tier_cols) {
+            let kind = match &t.codec {
+                TierCodec::Raw => TIER_KIND_RAW,
+                TierCodec::Vq(_) => TIER_KIND_VQ,
+            };
+            for v in [
+                kind,
+                u32::from(t.spec.sh_degree),
+                u32::from(t.spec.keep_permille),
+                u32::from(t.spec.codebook_shift),
+                header_u32(t.record_bytes, "tier record width exceeds u32")?,
+                header_u32(t.slots.len(), "tier slot count exceeds u32")?,
+            ] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            for &(a, b) in &t.ranges {
+                out.extend_from_slice(&a.to_le_bytes());
+                out.extend_from_slice(&b.to_le_bytes());
+            }
+            for &slot in &t.slots {
+                out.extend_from_slice(&slot.to_le_bytes());
+            }
+            if let TierCodec::Vq(cb) = &t.codec {
+                write_codebooks(cb, &mut out);
+            }
+            for chunk in col.chunks((CRC_CHUNK_SLOTS as usize * t.record_bytes).max(1)) {
+                out.extend_from_slice(&crc32(chunk).to_le_bytes());
+            }
+        }
+        let meta = crc32(&out);
+        out.extend_from_slice(&meta.to_le_bytes());
         out.extend_from_slice(&coarse_col);
         out.extend_from_slice(&fine_col);
         for col in &tier_cols {
             out.extend_from_slice(col);
         }
         Ok(out)
+    }
+
+    /// [`VoxelStore::try_to_scene_bytes`], panicking on error —
+    /// infallible over resident columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `self` is paged and a page read fails.
+    pub fn to_scene_bytes(&self) -> Vec<u8> {
+        match self.try_to_scene_bytes() {
+            Ok(image) => image,
+            Err(e) => panic!("to_scene_bytes: {e}"),
+        }
     }
 
     /// Writes [`VoxelStore::to_scene_bytes`] to `path` **crash-safely**:
@@ -2360,6 +2322,17 @@ impl VoxelStore {
         })
     }
 
+    /// Whether `other` lays out the same slots as `self` — voxel slot
+    /// ranges, Gaussian ids, record format and width, tier count — so it
+    /// can back the same prepared grid.
+    pub(crate) fn same_layout(&self, other: &VoxelStore) -> bool {
+        self.ranges == other.ranges
+            && self.ids == other.ids
+            && self.is_vq() == other.is_vq()
+            && self.fine_bytes_per_gaussian() == other.fine_bytes_per_gaussian()
+            && self.tiers.len() == other.tiers.len()
+    }
+
     /// Round-trips this store through its serialized scene image into a
     /// demand-paged twin (shares nothing with `self`).
     pub fn try_paged_twin(&self, config: PageConfig) -> Result<VoxelStore, StoreError> {
@@ -2386,43 +2359,6 @@ impl VoxelStore {
         policy: FaultPolicy,
     ) -> Result<VoxelStore, StoreError> {
         VoxelStore::open_paged_bytes_with_faults(self.try_to_scene_bytes()?, config, policy)
-    }
-
-    /// A paged twin over a forced **version-3** image (zero extra tiers
-    /// when none were built) — the compatibility-suite shape proving a
-    /// single-tier v3 image opens and renders identically to its v2
-    /// sibling.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `self` is paged and a page read fails, or when the
-    /// serialized image fails to open.
-    #[doc(hidden)]
-    pub fn paged_twin_v3(&self, config: PageConfig) -> VoxelStore {
-        match self
-            .serialize_scene(SCENE_VERSION_V3)
-            .and_then(|image| VoxelStore::open_paged_bytes(image, config))
-        {
-            Ok(store) => store,
-            Err(e) => panic!("paged_twin_v3: {e}"),
-        }
-    }
-
-    /// A paged twin over the pre-checksum version-1 image — back-compat
-    /// tests and benches only.
-    ///
-    /// # Panics
-    ///
-    /// Panics when serialization or the open fails.
-    #[doc(hidden)]
-    pub fn paged_twin_v1(&self, config: PageConfig) -> VoxelStore {
-        match self
-            .serialize_scene(SCENE_VERSION_V1)
-            .and_then(|image| VoxelStore::open_paged_bytes(image, config))
-        {
-            Ok(store) => store,
-            Err(e) => panic!("paged_twin_v1: {e}"),
-        }
     }
 }
 

@@ -156,24 +156,57 @@ fn paged_twin_is_bit_exact_vq_and_respects_budget() {
     );
 }
 
-#[test]
-fn v1_images_remain_readable_without_verification() {
-    let (cloud, grid) = scene_cloud();
-    let store = VoxelStore::from_cloud(&cloud, &grid);
-    let v1 = VoxelStore::open_paged_bytes(store.to_scene_bytes_v1(), PageConfig::default())
-        .expect("v1 image must stay readable");
-    // Verification was requested (default) but the image has no tables:
-    // the effective config flags it off.
-    assert!(!v1.page_config().unwrap().verify_checksums);
-    let mut la = TrafficLedger::new();
-    let mut lb = TrafficLedger::new();
-    for slot in 0..store.len() as u32 {
+/// Fresh resident stores (raw, VQ) of the 48-Gaussian Lego cloud the
+/// committed images under `tests/golden/images/` were written from.
+fn fixture_stores() -> [VoxelStore; 2] {
+    let scene = SceneKind::Lego.build(&SceneConfig {
+        gaussians: 48,
+        ..SceneConfig::tiny()
+    });
+    let grid = VoxelGrid::build(&scene.trained, scene.voxel_size);
+    let quant = GaussianQuantizer::train(&scene.trained, &VqConfig::tiny());
+    [
+        VoxelStore::from_cloud(&scene.trained, &grid),
+        VoxelStore::from_quantized(&quant, &grid),
+    ]
+}
+
+/// Opens a committed image and asserts it fetches exactly what `want`
+/// fetches — every coarse record, every fine record, the same ledger.
+fn assert_image_matches(want: &VoxelStore, image: &[u8]) -> VoxelStore {
+    let got = VoxelStore::open_paged_bytes(image.to_vec(), PageConfig::default())
+        .expect("committed image must stay readable");
+    assert_eq!(got.is_vq(), want.is_vq());
+    assert_eq!(got.voxel_count(), want.voxel_count());
+    let (mut la, mut lb) = (TrafficLedger::new(), TrafficLedger::new());
+    for v in 0..want.voxel_count() as u32 {
+        assert!(want
+            .fetch_coarse(v, &mut la)
+            .eq(got.fetch_coarse(v, &mut lb)));
+    }
+    for slot in 0..want.len() as u32 {
         assert_eq!(
-            store.fetch_fine(slot, &mut la),
-            v1.fetch_fine(slot, &mut lb)
+            want.fetch_fine(slot, &mut la),
+            got.fetch_fine(slot, &mut lb)
         );
     }
     assert_eq!(la, lb);
+    got
+}
+
+#[test]
+fn v1_images_remain_readable_without_verification() {
+    let images: [&[u8]; 2] = [
+        include_bytes!("../../tests/golden/images/v1_raw.bin"),
+        include_bytes!("../../tests/golden/images/v1_vq.bin"),
+    ];
+    for (store, image) in fixture_stores().iter().zip(images) {
+        assert_eq!(u32::from_le_bytes(image[4..8].try_into().unwrap()), 1);
+        let v1 = assert_image_matches(store, image);
+        // Verification was requested (default) but the image has no
+        // tables: the effective config flags it off.
+        assert!(!v1.page_config().unwrap().verify_checksums);
+    }
 }
 
 #[test]
@@ -549,20 +582,19 @@ fn tiered_vq_store_round_trips_through_v3() {
 
 #[test]
 fn tierless_v3_image_matches_v2_fetches() {
-    let (cloud, grid) = scene_cloud();
-    let store = VoxelStore::from_cloud(&cloud, &grid);
-    let v2 = store.to_scene_bytes();
-    let v3 = store.to_scene_bytes_v3();
-    assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
-    assert_eq!(u32::from_le_bytes(v3[4..8].try_into().unwrap()), 3);
-    let p2 = VoxelStore::open_paged_bytes(v2, PageConfig::default()).unwrap();
-    let p3 = VoxelStore::open_paged_bytes(v3, PageConfig::default()).unwrap();
-    assert_eq!(p3.tier_count(), 0);
-    let (mut a, mut b) = (TrafficLedger::new(), TrafficLedger::new());
-    for slot in 0..store.len() as u32 {
-        assert_eq!(p2.fetch_fine(slot, &mut a), p3.fetch_fine(slot, &mut b));
+    let images: [&[u8]; 2] = [
+        include_bytes!("../../tests/golden/images/v3_single_raw.bin"),
+        include_bytes!("../../tests/golden/images/v3_single_vq.bin"),
+    ];
+    for (store, image) in fixture_stores().iter().zip(images) {
+        assert_eq!(u32::from_le_bytes(image[4..8].try_into().unwrap()), 3);
+        let v2 = store.to_scene_bytes();
+        assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
+        let v3 = assert_image_matches(store, image);
+        assert_eq!(v3.tier_count(), 0);
+        assert!(v3.page_config().unwrap().verify_checksums);
+        assert_image_matches(store, &v2);
     }
-    assert_eq!(a, b);
 }
 
 #[test]

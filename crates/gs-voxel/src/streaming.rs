@@ -663,7 +663,7 @@ impl StreamingScene {
 
     /// [`StreamingScene::page_out`] with a deterministic [`FaultPolicy`]
     /// wrapped around the paged backing's page reads — the fault-injection
-    /// harness for the recovery suites and the `robust` bench.
+    /// harness for the recovery suites and perfbench's `paged-churn`.
     pub fn page_out_with_faults(
         &mut self,
         config: PageConfig,
@@ -673,20 +673,30 @@ impl StreamingScene {
         Ok(())
     }
 
-    /// [`StreamingScene::page_out`] over a pre-checksum version-1 scene
-    /// image — the back-compat twin (verification flagged off); kept
-    /// doc-hidden for the robustness suites and the `robust` bench.
-    #[doc(hidden)]
-    pub fn page_out_v1(&mut self, config: PageConfig) {
-        self.store = Arc::new(self.store.paged_twin_v1(config));
-    }
-
-    /// [`StreamingScene::page_out`] over a forced version-3 scene image
-    /// (zero tiers when none were built) — the forward-compat twin for
-    /// the v3 ⊇ v2 suites and the `lod` bench.
-    #[doc(hidden)]
-    pub fn page_out_v3(&mut self, config: PageConfig) {
-        self.store = Arc::new(self.store.paged_twin_v3(config));
+    /// Swaps the store's backing for a demand-paged store opened from a
+    /// scene image written earlier ([`VoxelStore::open_paged_bytes`]) —
+    /// any readable format version, so a pre-checksum version-1 image
+    /// serves with verification flagged off. Rendering stays
+    /// byte-identical when the image holds this scene's store.
+    ///
+    /// # Errors
+    ///
+    /// Every [`VoxelStore::open_paged_bytes`] error, and
+    /// [`StoreError::Malformed`] when the image's slot layout disagrees
+    /// with this scene's store.
+    pub fn open_paged_bytes(
+        &mut self,
+        image: Vec<u8>,
+        config: PageConfig,
+    ) -> Result<(), StoreError> {
+        let paged = VoxelStore::open_paged_bytes(image, config)?;
+        if !self.store.same_layout(&paged) {
+            return Err(StoreError::Malformed {
+                what: "scene image layout disagrees with the prepared scene",
+            });
+        }
+        self.store = Arc::new(paged);
+        Ok(())
     }
 
     /// Serializes the store to `path` and reopens it demand-paged from

@@ -14,8 +14,9 @@
 //! (d) **Fail-fast mode** — with `degrade_on_fault` off, permanent faults
 //!     surface the lowest-index failing group's error for any worker
 //!     count, frame after frame on one scene.
-//! (e) **Version-1 images** — still render identically, with checksum
-//!     verification flagged off in the effective `PageConfig`.
+//! (e) **Version-1 images** — the committed v1 images still render
+//!     identically, with checksum verification flagged off in the
+//!     effective `PageConfig`.
 //! (f) **File-backed faults** — the same transient-recovery contract
 //!     holds when the faulty pages are read from an on-disk scene image
 //!     (`page_out_file_with_faults` / `open_paged_file_with_faults`).
@@ -365,17 +366,51 @@ fn dead_page_map_exposes_permanent_faults() {
 
 #[test]
 fn v1_images_render_identically_with_verification_flagged_off() {
-    let scene = SceneKind::Lego.build(&SceneConfig::tiny());
+    // The committed v1 images hold the 48-Gaussian Lego cloud, raw and VQ.
+    let scene = SceneKind::Lego.build(&SceneConfig {
+        gaussians: 48,
+        ..SceneConfig::tiny()
+    });
     let cam = &scene.eval_cameras[0];
-    let resident = StreamingScene::new(scene.trained.clone(), vq_config(scene.voxel_size, 1));
-    let mut v1 = resident.clone();
-    v1.page_out_v1(page_config());
-    let effective = v1.store().page_config().expect("paged store");
-    assert!(
-        !effective.verify_checksums,
-        "a v1 image has no checksums to verify"
+    let images: [(&[u8], bool); 2] = [
+        (include_bytes!("golden/images/v1_raw.bin"), false),
+        (include_bytes!("golden/images/v1_vq.bin"), true),
+    ];
+    for (image, use_vq) in images {
+        let cfg = StreamingConfig {
+            use_vq,
+            ..vq_config(scene.voxel_size, 1)
+        };
+        let resident = StreamingScene::new(scene.trained.clone(), cfg);
+        let mut v1 = resident.clone();
+        v1.open_paged_bytes(image.to_vec(), page_config())
+            .expect("v1 image must stay readable");
+        let effective = v1.store().page_config().expect("paged store");
+        assert!(
+            !effective.verify_checksums,
+            "a v1 image has no checksums to verify"
+        );
+        let out = v1.render(cam);
+        assert!(
+            out.image.as_slice().iter().any(|p| p.x > 0.0),
+            "blank frame"
+        );
+        outputs_identical(
+            &resident.render(cam),
+            &out,
+            &format!("v1 paged (vq={use_vq})"),
+        );
+    }
+    // An image of another cloud is refused, not rendered.
+    let mut other = StreamingScene::new(
+        SceneKind::Lego.build(&SceneConfig::tiny()).trained,
+        StreamingConfig {
+            use_vq: false,
+            ..vq_config(scene.voxel_size, 1)
+        },
     );
-    outputs_identical(&resident.render(cam), &v1.render(cam), "v1 paged");
+    let image = include_bytes!("golden/images/v1_raw.bin").to_vec();
+    assert!(other.open_paged_bytes(image, page_config()).is_err());
 }
 
 /// (h) Tier columns are first-class fault domains: a paged tiered (v3)

@@ -4,8 +4,8 @@
 //!    bit-identically (image, workload, ledger) to the same scene without
 //!    tiers under [`QualityPolicy::FullQuality`], on every scene kind,
 //!    raw and VQ, resident and paged, for any worker count.
-//! 2. **v3 ⊇ v2** — a single-tier store serialized as a forced version-3
-//!    image opens and renders byte-identically to its version-2 sibling.
+//! 2. **v3 ⊇ v2** — the committed single-tier version-3 images open and
+//!    render byte-identically to resident and version-2 paging.
 //! 3. **Tier selection is thread-invariant** — the SSE and byte-budget
 //!    policies produce identical frames for any thread count.
 //! 4. **Coarser tiers move fewer bytes** — the forced-tier sweep strictly
@@ -111,20 +111,36 @@ fn full_quality_stays_identical_paged_and_across_thread_counts() {
 
 #[test]
 fn single_tier_v3_image_renders_identically_to_v2() {
-    let scene = SceneKind::Lego.build(&SceneConfig::tiny());
+    // The committed tierless v3 images hold the 48-Gaussian Lego cloud.
+    let scene = SceneKind::Lego.build(&SceneConfig {
+        gaussians: 48,
+        ..SceneConfig::tiny()
+    });
     let cam = &scene.eval_cameras[0];
-    for base in [raw_config(scene.voxel_size), vq_config(scene.voxel_size)] {
+    let images: [&[u8]; 2] = [
+        include_bytes!("golden/images/v3_single_raw.bin"),
+        include_bytes!("golden/images/v3_single_vq.bin"),
+    ];
+    for (base, image) in [raw_config(scene.voxel_size), vq_config(scene.voxel_size)]
+        .into_iter()
+        .zip(images)
+    {
         let vq = base.use_vq;
-        let mut v2 = StreamingScene::new(scene.trained.clone(), base);
-        let mut v3 = v2.clone();
+        let resident = StreamingScene::new(scene.trained.clone(), base);
+        let mut v2 = resident.clone();
+        let mut v3 = resident.clone();
         v2.page_out(PageConfig::default());
-        v3.page_out_v3(PageConfig::default());
-        let a = v2.render(cam);
-        let b = v3.render(cam);
-        assert_eq!(a.image, b.image, "v3 image diverged from v2 (vq={vq})");
-        assert_eq!(a.workload, b.workload);
-        assert_eq!(a.ledger, b.ledger);
-        assert!(a.degradation.is_clean() && b.degradation.is_clean());
+        v3.open_paged_bytes(image.to_vec(), PageConfig::default())
+            .unwrap_or_else(|e| panic!("tierless v3 image must stay readable: {e}"));
+        assert_eq!(v3.store().tier_count(), 0);
+        let want = resident.render(cam);
+        for (label, paged) in [("v2", &v2), ("v3", &v3)] {
+            let got = paged.render(cam);
+            assert_eq!(want.image, got.image, "{label} image diverged (vq={vq})");
+            assert_eq!(want.workload, got.workload);
+            assert_eq!(want.ledger, got.ledger);
+            assert!(got.degradation.is_clean());
+        }
     }
 }
 
