@@ -17,14 +17,6 @@ pub enum BenchScale {
     Full,
 }
 
-/// Logical CPU count of the bench host, for the `cores` field every bench
-/// JSON line carries. Thread-scaling verdicts (e.g. `front_end_ok`) are
-/// meaningless on a 1-core host; emitting the count lets report readers
-/// tell a true regression from a starved local run.
-pub fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Reads `GS_BENCH_SCALE` (tiny/small/full); defaults to `Small`.
 pub fn bench_scale() -> BenchScale {
     match std::env::var("GS_BENCH_SCALE")

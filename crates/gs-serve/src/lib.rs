@@ -11,7 +11,7 @@
 //!   [`StreamingScene::fork_session`], so a page materialized by one
 //!   client's frame is warm for every other client of the shard — the
 //!   serving-side analogue of the working-set cache's temporal locality,
-//!   measured by the `serve` bench as shared-page amortization.
+//!   reported by perfbench's `serve-4` workload as shared-page amortization.
 //! * [`ClientSession`] — one client's frame-persistent state: a forked
 //!   scene view (per-session working-set cache, [`QualityPolicy`] and
 //!   hysteresis history, render scratch) plus reusable
@@ -181,7 +181,7 @@ impl SceneShard {
 
     /// Store-wide page faults of the shared backing (0 for resident
     /// shards). Divide by the frames served across all sessions to see
-    /// the shared-page amortization the `serve` bench reports.
+    /// the shared-page amortization perfbench's `serve-4` workload reports.
     pub fn page_faults(&self) -> u64 {
         self.scene.store().page_faults()
     }

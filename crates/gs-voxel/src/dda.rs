@@ -64,12 +64,12 @@ pub fn traverse_append(grid: &VoxelGrid, ray: &Ray, max_steps: u32, voxels: &mut
     })
 }
 
-/// Instrumented marcher for the exactness suite: records every visited
-/// cell (occupied or empty) together with the incremental linear index the
-/// step loop carried at that step. The property tests recompute
+/// Instrumented marcher for the tests: records every visited cell
+/// (occupied or empty) together with the incremental linear index the
+/// step loop carried at that step, so a test can recompute
 /// `(z*ny + y)*nx + x` from the recorded cell and assert equality.
-#[doc(hidden)]
-pub fn traverse_cells(
+#[cfg(test)]
+fn traverse_cells(
     grid: &VoxelGrid,
     ray: &Ray,
     max_steps: u32,
@@ -633,6 +633,16 @@ mod tests {
                 reference::traverse(&grid, &ray, 10_000),
                 "marcher diverged from the reference loop"
             );
+            // The incrementally carried linear cell index must equal the
+            // recomputed one at *every* step, empty cells included.
+            let (nx, ny, _) = grid.dims();
+            let mut cells = Vec::new();
+            let steps = traverse_cells(&grid, &ray, 10_000, &mut cells);
+            prop_assert_eq!(steps as usize, cells.len());
+            for &((x, y, z), lin) in &cells {
+                let expect = (z as usize * ny as usize + y as usize) * nx as usize + x as usize;
+                prop_assert_eq!(lin, expect, "index drifted at cell {:?}", (x, y, z));
+            }
         }
     }
 

@@ -139,8 +139,8 @@ pub enum QualityPolicy {
         bytes: u64,
     },
     /// Every voxel renders tier `tier` (clamped to the coarsest built) —
-    /// the ablation knob the `lod` bench sweeps to isolate one tier's
-    /// quality/traffic point.
+    /// the ablation knob that isolates one tier's quality/traffic point
+    /// (`tests/lod_tiers.rs` sweeps it).
     ForcedTier {
         /// Overall tier index (0 = full quality).
         tier: u8,
@@ -273,7 +273,7 @@ impl StreamingConfig {
 
     /// A three-step coarsening ladder (SH 2 / SH 1 / SH 0, each pruning
     /// harder and, for VQ stores, shrinking the codebooks one shift per
-    /// step) — the shape the `lod` bench sweeps and a reasonable starting
+    /// step) — the shape the tier tests sweep and a reasonable starting
     /// point for real scenes. Every step prunes at least some records so
     /// each tier moves strictly fewer DRAM transactions than the last.
     pub fn default_tier_ladder() -> [Option<TierSpec>; MAX_EXTRA_TIERS] {

@@ -9,7 +9,8 @@
 //! 3. **Tier selection is thread-invariant** — the SSE and byte-budget
 //!    policies produce identical frames for any thread count.
 //! 4. **Coarser tiers move fewer bytes** — the forced-tier sweep strictly
-//!    shrinks fine demand, and per-tier traffic lands in the right
+//!    shrinks fine demand and fine DRAM bytes while PSNR against the
+//!    tier-0 frame never rises, and per-tier traffic lands in the right
 //!    [`TierUsageReport`] lane.
 //! 5. **Burst size is a real knob** — the same frame metered at 32 B
 //!    bursts moves strictly fewer DRAM transaction bytes than at 64 B,
@@ -85,27 +86,30 @@ fn full_quality_is_bit_identical_to_legacy_on_all_scene_kinds() {
 fn full_quality_stays_identical_paged_and_across_thread_counts() {
     let scene = SceneKind::Truck.build(&SceneConfig::tiny());
     let cam = &scene.eval_cameras[0];
-    let base = vq_config(scene.voxel_size);
-    let legacy = StreamingScene::new(scene.trained.clone(), base).render(cam);
-    for threads in [1usize, 2, 0] {
-        let cfg = StreamingConfig {
-            tiers: ladder(),
-            threads,
-            ..base
-        };
-        let mut tiered = StreamingScene::new(scene.trained.clone(), cfg);
-        assert_eq!(
-            legacy.image,
-            tiered.render(cam).image,
-            "resident FullQuality diverged at threads={threads}"
-        );
-        tiered.page_out(PageConfig::default());
-        let paged = tiered.render(cam);
-        assert_eq!(
-            legacy.image, paged.image,
-            "paged FullQuality diverged at threads={threads}"
-        );
-        assert_eq!(legacy.ledger, paged.ledger);
+    for base in [raw_config(scene.voxel_size), vq_config(scene.voxel_size)] {
+        let vq = base.use_vq;
+        let legacy = StreamingScene::new(scene.trained.clone(), base).render(cam);
+        for threads in [1usize, 2, 0] {
+            let cfg = StreamingConfig {
+                tiers: ladder(),
+                threads,
+                ..base
+            };
+            let mut tiered = StreamingScene::new(scene.trained.clone(), cfg);
+            assert_eq!(
+                legacy.image,
+                tiered.render(cam).image,
+                "resident FullQuality diverged at threads={threads} (vq={vq})"
+            );
+            tiered.page_out(PageConfig::default());
+            let paged = tiered.render(cam);
+            assert_eq!(
+                legacy.image, paged.image,
+                "paged FullQuality diverged at threads={threads} (vq={vq})"
+            );
+            assert_eq!(legacy.workload, paged.workload);
+            assert_eq!(legacy.ledger, paged.ledger);
+        }
     }
 }
 
@@ -153,28 +157,47 @@ fn forced_tier_sweep_strictly_reduces_fine_demand() {
         ..vq_config(scene.voxel_size)
     };
     let prepared = StreamingScene::new(scene.trained.clone(), cfg);
+    let outs: Vec<_> = (0u8..=3)
+        .map(|tier| {
+            StreamingScene::new(
+                scene.trained.clone(),
+                StreamingConfig {
+                    quality: QualityPolicy::ForcedTier { tier },
+                    ..cfg
+                },
+            )
+            .render(cam)
+        })
+        .collect();
     let mut last = u64::MAX;
-    for tier in 0u8..=3 {
-        let out = StreamingScene::new(
-            scene.trained.clone(),
-            StreamingConfig {
-                quality: QualityPolicy::ForcedTier { tier },
-                ..cfg
-            },
-        )
-        .render(cam);
+    let mut last_dram = u64::MAX;
+    let mut last_psnr = f64::INFINITY;
+    for (tier, out) in outs.iter().enumerate() {
         let fine = out.workload.totals().fine_bytes;
         assert!(
             fine < last,
             "tier {tier} fine demand {fine} did not shrink below {last}"
         );
         last = fine;
+        // The dial is real in burst-rounded DRAM bytes too, and a coarser
+        // tier never looks more like the tier-0 frame.
+        let dram: u64 = out.tiers.dram_bytes.iter().sum();
+        assert!(
+            dram < last_dram,
+            "tier {tier} fine DRAM {dram} did not shrink below {last_dram}"
+        );
+        last_dram = dram;
+        let psnr = outs[0].image.psnr(&out.image);
+        assert!(
+            psnr <= last_psnr,
+            "tier {tier} PSNR {psnr:.2} dB rose above {last_psnr:.2} dB"
+        );
+        last_psnr = psnr;
         // Every fine byte lands in the forced tier's lane, and every
         // scene voxel is assigned to it.
-        let t = tier as usize;
-        assert_eq!(out.tiers.fetched_bytes[t], fine);
+        assert_eq!(out.tiers.fetched_bytes[tier], fine);
         let mut expect = TierUsageReport::default();
-        expect.voxels[t] = prepared.grid().voxel_count() as u64;
+        expect.voxels[tier] = prepared.grid().voxel_count() as u64;
         assert_eq!(out.tiers.voxels, expect.voxels);
     }
 }

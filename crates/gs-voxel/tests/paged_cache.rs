@@ -9,16 +9,18 @@
 //!    invariant across worker-thread counts {1, 2, 0}: the cache is
 //!    simulated from the recorded fetch trace in global group order.
 //! 3. **Cache semantics** — demand bytes are invariant under caching;
-//!    warm frames hit; DRAM transaction bytes shrink to burst-rounded
-//!    miss fills.
+//!    warm frames hit, also along a moving camera path; DRAM transaction
+//!    bytes shrink to burst-rounded miss fills.
 
 // Tests may unwrap: a panic is exactly the right failure mode here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 mod golden;
 
+use gs_core::vec::Vec3;
 use gs_mem::cache::CacheConfig;
 use gs_mem::{Direction, Stage};
+use gs_scene::trajectory::{walkthrough, RigSpec};
 use gs_scene::{SceneConfig, SceneKind};
 use gs_voxel::{PageConfig, StreamingConfig, StreamingOutput, StreamingScene};
 use gs_vq::VqConfig;
@@ -175,6 +177,44 @@ fn warm_frames_hit_and_shrink_dram_traffic() {
     let recold = s.render(cam);
     assert_eq!(recold.ledger, cold.ledger);
     assert_eq!(recold.cache, cold.cache);
+}
+
+#[test]
+fn trajectory_frames_hit_the_warm_coarse_cache() {
+    // A short walkthrough, not a re-rendered camera: consecutive frames
+    // overlap in the voxels they stream, so from frame 1 on at least half
+    // of the coarse fetches must hit the working set.
+    let rig = RigSpec {
+        width: 160,
+        height: 120,
+        fov_x: 0.9,
+    };
+    let cams = walkthrough(
+        Vec3::new(-1.5, 0.8, -7.0),
+        Vec3::new(1.5, 1.1, -5.5),
+        Vec3::ZERO,
+        6,
+        &rig,
+    );
+    for kind in [SceneKind::Truck, SceneKind::Playroom] {
+        let scene = kind.build(&SceneConfig::tiny());
+        for base in [raw_config(scene.voxel_size), vq_config(scene.voxel_size)] {
+            let cfg = StreamingConfig {
+                cache: Some(CacheConfig::default()),
+                ..base
+            };
+            let s = StreamingScene::new(scene.trained.clone(), cfg);
+            for (i, cam) in cams.iter().enumerate() {
+                let hit = s.render(cam).cache.unwrap().coarse.hit_rate();
+                assert!(
+                    i == 0 || hit >= 0.5,
+                    "{} (vq={}) frame {i}: warm coarse hit rate only {hit:.3}",
+                    kind.name(),
+                    cfg.use_vq
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@ use gs_core::camera::Camera;
 use gs_core::geom::Ray;
 use gs_core::vec::Vec3;
 use gs_scene::{Gaussian, GaussianCloud};
-use gs_voxel::dda::{traverse, traverse_cells};
+use gs_voxel::dda::traverse;
 use gs_voxel::order::{count_order_violations, topological_order};
 use gs_voxel::{StreamingConfig, StreamingScene, VoxelGrid};
 use proptest::prelude::*;
@@ -66,36 +66,6 @@ proptest! {
             let (t0, _) = grid.voxel_aabb(v).intersect_ray(&ray).expect("listed voxel must be hit");
             prop_assert!(t0 >= last_entry - 1e-3, "non-monotone voxel entry");
             last_entry = t0;
-        }
-    }
-
-    #[test]
-    fn incremental_dda_index_matches_recomputation(
-        cloud in cloud_strategy(),
-        voxel in 0.4f32..1.5,
-        oy in -1.5f32..1.5,
-        oz in -1.0f32..1.0,
-        dir_y in -0.5f32..0.5,
-        dir_z in -0.5f32..0.5,
-        flip in -1.0f32..1.0,
-    ) {
-        // The marcher's incrementally maintained linear cell index must
-        // equal the recomputed `(z*ny + y)*nx + x` at *every* step (empty
-        // cells included). (The walk-vs-reference comparison lives beside
-        // the marcher, in `dda.rs`'s tests.)
-        let grid = VoxelGrid::build(&cloud, voxel);
-        let (nx, ny, _) = grid.dims();
-        let sign = if flip < 0.0 { -1.0 } else { 1.0 };
-        let ray = Ray::new(
-            Vec3::new(-8.0 * sign, oy, oz),
-            Vec3::new(sign, dir_y, dir_z).normalized(),
-        );
-        let mut cells = Vec::new();
-        let steps = traverse_cells(&grid, &ray, 10_000, &mut cells);
-        prop_assert_eq!(steps as usize, cells.len());
-        for &((x, y, z), lin) in &cells {
-            let expect = (z as usize * ny as usize + y as usize) * nx as usize + x as usize;
-            prop_assert_eq!(lin, expect, "index drifted at cell {:?}", (x, y, z));
         }
     }
 
