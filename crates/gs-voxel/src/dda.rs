@@ -633,9 +633,28 @@ mod tests {
                 reference::traverse(&grid, &ray, 10_000),
                 "marcher diverged from the reference loop"
             );
+        }
+
+        #[test]
+        fn incremental_dda_index_matches_recomputation(
+            cloud in cloud_strategy(),
+            voxel in 0.4f32..1.5,
+            oy in -1.5f32..1.5,
+            oz in -1.0f32..1.0,
+            dir_y in -0.5f32..0.5,
+            dir_z in -0.5f32..0.5,
+            flip in -1.0f32..1.0,
+        ) {
             // The incrementally carried linear cell index must equal the
-            // recomputed one at *every* step, empty cells included.
+            // recomputed `(z*ny + y)*nx + x` at *every* step, empty cells
+            // included, from either side of the grid.
+            let grid = VoxelGrid::build(&cloud, voxel);
             let (nx, ny, _) = grid.dims();
+            let sign = if flip < 0.0 { -1.0 } else { 1.0 };
+            let ray = Ray::new(
+                Vec3::new(-8.0 * sign, oy, oz),
+                Vec3::new(sign, dir_y, dir_z).normalized(),
+            );
             let mut cells = Vec::new();
             let steps = traverse_cells(&grid, &ray, 10_000, &mut cells);
             prop_assert_eq!(steps as usize, cells.len());
