@@ -14,6 +14,26 @@
 //! parallel ≡ serial and paged ≡ resident are pinned against fixed bytes,
 //! not only against each other.
 //!
+//! Truck rows pin the LOD-tier fetch path and the fault-degradation path
+//! with `default_tier_ladder()`:
+//!
+//! * `truck/vq/tiers/hysteresis/cam0` and `/cam1`: VQ, uncached,
+//!   `Hysteresis { threshold: 64.0, margin: 0.2 }` over two consecutive
+//!   cameras (the second frame selects against the first one's tiers);
+//! * `truck/raw/tiers/budget/cache`: raw, `ByteBudget { bytes: 200_000 }`
+//!   with the default cache;
+//! * `truck/vq/faults` (uncached, tierless) and
+//!   `truck/vq/tiers/faults/cache` (cached, ladder,
+//!   `ScreenSpaceError { threshold: 64.0 }`), both paged out with
+//!   permanent faults (`FaultPolicy { seed: 0xDEAD_BEEF,
+//!   permanent_per_mille: 150 }`, 16 slots per page, 8 read attempts).
+//!
+//! Every tier frame must put voxels in at least two tier lanes and every
+//! fault frame must degrade, so a row cannot silently stop covering its
+//! path. The fault rows render on clones of the faulted scene (cold,
+//! independent page state each) and skip the demand-paged pass: their
+//! scene is paged already.
+//!
 //! `tests/golden/images.txt` pins the scene-image writer the same way:
 //! one CRC-32 of `to_scene_bytes()` for tiny Lego, raw and VQ, without
 //! tiers (v2) and with `default_tier_ladder()` (v3). A twin reader would
@@ -40,17 +60,35 @@ mod golden;
 use gs_core::camera::Camera;
 use gs_mem::cache::CacheConfig;
 use gs_mem::crc::{crc32, Crc32};
-use gs_scene::{SceneConfig, SceneKind};
-use gs_voxel::{PageConfig, StreamingConfig, StreamingOutput, StreamingScene};
+use gs_scene::{Scene, SceneConfig, SceneKind};
+use gs_voxel::{
+    FaultPolicy, PageConfig, QualityPolicy, StreamingConfig, StreamingOutput, StreamingScene,
+};
 use gs_vq::VqConfig;
 
 /// One golden sequence: a prepared scene and the cameras it renders in
 /// order, one fixture row per camera (consecutive frames share the
-/// scene's persistent cache state).
+/// scene's persistent cache and tier-hysteresis state).
 struct Sequence {
     rows: Vec<String>,
     scene: StreamingScene,
     cams: Vec<Camera>,
+    /// Every frame must put voxels in at least two tier lanes.
+    tiers: bool,
+    /// Every frame must degrade around faulted pages.
+    faults: bool,
+}
+
+impl Sequence {
+    fn new(rows: &[&str], scene: StreamingScene, cams: &[Camera]) -> Sequence {
+        Sequence {
+            rows: rows.iter().map(|r| r.to_string()).collect(),
+            scene,
+            cams: cams.to_vec(),
+            tiers: false,
+            faults: false,
+        }
+    }
 }
 
 /// Rows of the cached Playroom sequence (two consecutive cameras).
@@ -60,6 +98,18 @@ const PLAYROOM_CACHED_ROWS: [&str; 2] = [
 ];
 /// Row of the cached VQ Lego frame.
 const LEGO_CACHED_ROW: &str = "lego/vq/cache";
+/// Rows of the tiered VQ Truck sequence under hysteresis (two
+/// consecutive cameras).
+const TRUCK_HYSTERESIS_ROWS: [&str; 2] = [
+    "truck/vq/tiers/hysteresis/cam0",
+    "truck/vq/tiers/hysteresis/cam1",
+];
+/// Row of the cached, byte-budgeted raw Truck frame.
+const TRUCK_BUDGET_ROW: &str = "truck/raw/tiers/budget/cache";
+/// Row of the uncached, tierless VQ Truck frame with permanent faults.
+const TRUCK_FAULTS_ROW: &str = "truck/vq/faults";
+/// Row of the cached, tiered VQ Truck frame with permanent faults.
+const TRUCK_TIER_FAULTS_ROW: &str = "truck/vq/tiers/faults/cache";
 
 /// The committed scene-image digests, one `<row> <crc32 hex>` per writer
 /// variant.
@@ -93,11 +143,11 @@ fn matrix() -> Vec<Sequence> {
     for kind in SceneKind::ALL {
         let scene = kind.build(&SceneConfig::tiny());
         for use_vq in [false, true] {
-            out.push(Sequence {
-                rows: vec![matrix_row(kind, use_vq)],
-                scene: StreamingScene::new(scene.trained.clone(), config(scene.voxel_size, use_vq)),
-                cams: vec![scene.eval_cameras[0]],
-            });
+            out.push(Sequence::new(
+                &[&matrix_row(kind, use_vq)],
+                StreamingScene::new(scene.trained.clone(), config(scene.voxel_size, use_vq)),
+                &scene.eval_cameras[..1],
+            ));
         }
     }
     out
@@ -109,9 +159,9 @@ fn cached() -> Vec<Sequence> {
     let playroom = SceneKind::Playroom.build(&SceneConfig::tiny());
     let lego = SceneKind::Lego.build(&SceneConfig::tiny());
     vec![
-        Sequence {
-            rows: PLAYROOM_CACHED_ROWS.map(String::from).to_vec(),
-            scene: StreamingScene::new(
+        Sequence::new(
+            &PLAYROOM_CACHED_ROWS,
+            StreamingScene::new(
                 playroom.trained.clone(),
                 StreamingConfig {
                     ray_stride: 3,
@@ -119,20 +169,97 @@ fn cached() -> Vec<Sequence> {
                     ..config(playroom.voxel_size, false)
                 },
             ),
-            cams: playroom.eval_cameras[..2].to_vec(),
-        },
-        Sequence {
-            rows: vec![LEGO_CACHED_ROW.to_string()],
-            scene: StreamingScene::new(
+            &playroom.eval_cameras[..2],
+        ),
+        Sequence::new(
+            &[LEGO_CACHED_ROW],
+            StreamingScene::new(
                 lego.trained.clone(),
                 StreamingConfig {
                     cache: Some(CacheConfig::default()),
                     ..config(lego.voxel_size, true)
                 },
             ),
-            cams: vec![lego.eval_cameras[0]],
-        },
+            &lego.eval_cameras[..1],
+        ),
     ]
+}
+
+/// Tiny Truck with the default tier ladder under `quality`.
+fn truck_tiers(
+    truck: &Scene,
+    use_vq: bool,
+    quality: QualityPolicy,
+    cache: Option<CacheConfig>,
+) -> StreamingScene {
+    StreamingScene::new(
+        truck.trained.clone(),
+        StreamingConfig {
+            tiers: StreamingConfig::default_tier_ladder(),
+            quality,
+            cache,
+            ..config(truck.voxel_size, use_vq)
+        },
+    )
+}
+
+/// The tier rows: VQ Truck under hysteresis over two consecutive
+/// cameras, and cached raw Truck under a byte budget.
+fn tiered() -> Vec<Sequence> {
+    let truck = SceneKind::Truck.build(&SceneConfig::tiny());
+    let hysteresis = QualityPolicy::Hysteresis {
+        threshold: 64.0,
+        margin: 0.2,
+    };
+    let budget = QualityPolicy::ByteBudget { bytes: 200_000 };
+    [
+        Sequence::new(
+            &TRUCK_HYSTERESIS_ROWS,
+            truck_tiers(&truck, true, hysteresis, None),
+            &truck.eval_cameras[..2],
+        ),
+        Sequence::new(
+            &[TRUCK_BUDGET_ROW],
+            truck_tiers(&truck, false, budget, Some(CacheConfig::default())),
+            &truck.eval_cameras[..1],
+        ),
+    ]
+    .map(|seq| Sequence { tiers: true, ..seq })
+    .into_iter()
+    .collect()
+}
+
+/// The fault rows: VQ Truck paged out with permanent faults, uncached
+/// and tierless, then cached with the tier ladder.
+fn faulted() -> Vec<Sequence> {
+    let truck = SceneKind::Truck.build(&SceneConfig::tiny());
+    let page = PageConfig {
+        slots_per_page: 16,
+        max_read_attempts: 8,
+        ..PageConfig::default()
+    };
+    let policy = FaultPolicy {
+        seed: 0xDEAD_BEEF,
+        permanent_per_mille: 150,
+        ..FaultPolicy::default()
+    };
+    let sse = QualityPolicy::ScreenSpaceError { threshold: 64.0 };
+    let tierless = StreamingScene::new(truck.trained.clone(), config(truck.voxel_size, true));
+    let cached = truck_tiers(&truck, true, sse, Some(CacheConfig::default()));
+    [
+        (TRUCK_FAULTS_ROW, tierless, false),
+        (TRUCK_TIER_FAULTS_ROW, cached, true),
+    ]
+    .map(|(row, mut scene, tiers)| {
+        scene.page_out_with_faults(page, policy).unwrap();
+        Sequence {
+            tiers,
+            faults: true,
+            ..Sequence::new(&[row], scene, &truck.eval_cameras[..1])
+        }
+    })
+    .into_iter()
+    .collect()
 }
 
 /// The scene image of tiny Lego (with the default tier ladder when
@@ -167,17 +294,31 @@ fn scene_image(use_vq: bool, tiers: bool) -> (Vec<u8>, u32) {
     (image, digest)
 }
 
-/// Renders `cams` in order on `scene` and returns the frame digests.
-fn digests(scene: &StreamingScene, cams: &[Camera]) -> Vec<u32> {
-    cams.iter()
-        .map(|cam| golden::frame_digest(&scene.render(cam)))
+/// Renders `seq`'s cameras in order on `scene` (`seq.scene` or a clone
+/// of it), checks that every frame covers the paths `seq` claims, and
+/// returns the frame digests.
+fn digests(seq: &Sequence, scene: &StreamingScene) -> Vec<u32> {
+    seq.rows
+        .iter()
+        .zip(&seq.cams)
+        .map(|(row, cam)| {
+            let out = scene.render(cam);
+            if seq.tiers {
+                let lanes = out.tiers.voxels.iter().filter(|&&v| v > 0).count();
+                assert!(lanes >= 2, "{row}: {lanes} tier lane(s) used, want >= 2");
+            }
+            if seq.faults {
+                assert!(!out.degradation.is_clean(), "{row}: frame did not degrade");
+            }
+            golden::frame_digest(&out)
+        })
         .collect()
 }
 
 /// Asserts that `scene` — a fresh clone, so its cache starts cold —
 /// renders every row of `seq` to its golden digest.
 fn assert_golden(seq: &Sequence, scene: &StreamingScene, variant: &str) {
-    for (row, got) in seq.rows.iter().zip(digests(scene, &seq.cams)) {
+    for (row, got) in seq.rows.iter().zip(digests(seq, scene)) {
         let want = golden::digest(row);
         assert_eq!(
             got, want,
@@ -222,6 +363,18 @@ fn cached_frames_match_goldens_resident_and_paged() {
 }
 
 #[test]
+fn tiered_frames_match_goldens_resident_and_paged() {
+    let seqs = tiered();
+    assert_threads(&seqs);
+    assert_paged(&seqs);
+}
+
+#[test]
+fn faulted_frames_match_goldens_at_every_thread_count() {
+    assert_threads(&faulted());
+}
+
+#[test]
 fn fixture_has_one_row_per_golden_frame() {
     let rows: Vec<&str> = golden::GOLDEN
         .lines()
@@ -233,6 +386,8 @@ fn fixture_has_one_row_per_golden_frame() {
         .collect();
     expected.extend(PLAYROOM_CACHED_ROWS.map(String::from));
     expected.push(LEGO_CACHED_ROW.to_string());
+    expected.extend(TRUCK_HYSTERESIS_ROWS.map(String::from));
+    expected.extend([TRUCK_BUDGET_ROW, TRUCK_FAULTS_ROW, TRUCK_TIER_FAULTS_ROW].map(String::from));
     assert_eq!(rows, expected, "fixture rows out of step with the matrix");
 }
 
@@ -268,8 +423,8 @@ fn print_image_table() {
 #[test]
 #[ignore]
 fn print_golden_table() {
-    for seq in matrix().iter().chain(&cached()) {
-        for (row, d) in seq.rows.iter().zip(digests(&seq.scene, &seq.cams)) {
+    for seq in [matrix(), cached(), tiered(), faulted()].iter().flatten() {
+        for (row, d) in seq.rows.iter().zip(digests(seq, &seq.scene)) {
             println!("{row} {d:08x}");
         }
     }
