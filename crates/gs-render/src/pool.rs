@@ -178,8 +178,7 @@ impl WorkerPool {
     /// exhausted. Job results are a function of the index alone, so which
     /// thread runs an index never affects the output — this is purely one
     /// more executor (the dispatch thread used to idle through every
-    /// frame, which matters for nested uses like the streaming renderer's
-    /// intra-group ray fan-out).
+    /// frame).
     #[allow(unsafe_code)] // pool internals: calls the type-erased job
     pub fn run<F: Fn(usize) + Sync>(&mut self, jobs: usize, f: F) {
         if jobs == 0 {

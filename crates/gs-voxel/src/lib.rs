@@ -46,13 +46,16 @@
 //! or **demand-paged** at slot-range granularity from a compact
 //! serialized scene image (in memory or on disk, with an optional
 //! LRU-evicted page budget) for scenes larger than host memory —
-//! bit-exact either way (`tests/paged_cache.rs`). Orthogonally,
-//! [`streaming::StreamingConfig::cache`] fronts the coarse/fine fetch
-//! stages with a deterministic [`gs_mem::cache::WorkingSetCache`] model:
-//! fetches are traced per group and replayed in global group order at
-//! frame end (hit/miss counts are thread-count invariant), hits are
-//! metered as on-chip bytes and only burst-rounded miss fills reach the
-//! ledger's DRAM transaction counters — the bytes `gs-accel` prices.
+//! bit-exact either way (`tests/paged_cache.rs`). Orthogonally, every
+//! coarse/fine fetch is traced per group and the traces are always
+//! replayed in global group order at frame end; the replay is the only
+//! place their DRAM and hit bytes are metered, and the cache decides hit
+//! or fill. Without [`streaming::StreamingConfig::cache`] every fetch is
+//! its own burst-rounded DRAM transaction. With it, a deterministic
+//! [`gs_mem::cache::WorkingSetCache`] model fronts the coarse/fine fetch
+//! stages (hit/miss counts are thread-count invariant): hits are metered
+//! as on-chip bytes and only burst-rounded miss fills reach the ledger's
+//! DRAM transaction counters — the bytes `gs-accel` prices.
 //!
 //! ## Fault tolerance and the error-handling contract (PR 6)
 //!

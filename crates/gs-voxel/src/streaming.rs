@@ -21,24 +21,26 @@
 //!   `mask & !done != 0` per word and stride dilation is a precomputed
 //!   per-pixel span table (`MaskScratch`) instead of a stride² loop;
 //! * groups are claimed dynamically by the workers of the shared
-//!   [`gs_render::pool::WorkerPool`] (`run_claimed`): each worker owns its
-//!   working scratch, each group writes only its own output slot
-//!   (pixels, workload, ledger, fetch trace, violations, degradation,
-//!   error), and the frame reads the slots back in group order — so a
-//!   frame never waits on a fixed heavier share of groups, and which
-//!   worker rendered a group is unobservable;
-//! * when the frame has fewer pixel groups than worker threads, each
-//!   group's DDA ray grid is split across the shared
-//!   [`gs_render::pool::WorkerPool`] (rays are independent; the CSR/order
-//!   inputs are merged in deterministic ray order), so output stays
-//!   **bit-identical** for any worker count — the same determinism
-//!   contract as the parallel front-end in `gs_render`.
+//!   [`gs_render::pool::WorkerPool`] (`run_claimed`, one job per worker
+//!   up to one per group; a single job renders inline without a pool):
+//!   each worker owns its working scratch, each group writes only its
+//!   own output slot (pixels, workload, ledger, fetch trace, violations,
+//!   degradation, error), and the frame reads the slots back in group
+//!   order — so a frame never waits on a fixed heavier share of groups,
+//!   which worker rendered a group is unobservable, and output stays
+//!   **bit-identical** for any worker count (the same determinism
+//!   contract as the parallel front-end in `gs_render`);
+//! * every coarse and fine fetch is recorded in its group's trace, and
+//!   one frame-end replay in group order meters their DRAM and hit bytes
+//!   — each fetch its own burst-rounded transaction, or through the
+//!   working-set cache when one is configured.
 //!
 //! There is one render path: every frame reads the store's columns and
-//! runs one DDA marcher and one blend kernel. Committed golden frame
-//! digests (`tests/golden_frames.rs`) pin its output bytes; the kernels'
-//! original loops survive only as test-only references they are compared
-//! against per ray (`dda.rs`) and per splat (this module's tests).
+//! runs one DDA marcher, one fine-fetch loop for every tier and one
+//! blend kernel. Committed golden frame digests (`tests/golden_frames.rs`)
+//! pin its output bytes; the kernels' original loops survive only as
+//! test-only references they are compared against per ray (`dda.rs`) and
+//! per splat (this module's tests).
 //!
 //! ## Fault tolerance (PR 6)
 //!
@@ -68,7 +70,7 @@ use crate::workload::{FrameWorkload, TileWorkload};
 use gs_core::camera::Camera;
 use gs_core::image::ImageRgb;
 use gs_core::vec::Vec3;
-use gs_mem::cache::{CacheConfig, CacheReport, WorkingSetCache};
+use gs_mem::cache::{AccessOutcome, CacheConfig, CacheReport, CacheStats, WorkingSetCache};
 use gs_mem::dram::{round_to_burst, DEFAULT_BURST_BYTES};
 use gs_mem::{Direction, Stage, TrafficLedger, MAX_TIERS};
 use gs_render::pool::{resolve_threads, WorkerPool};
@@ -848,19 +850,7 @@ impl StreamingScene {
         let groups_y = height.div_ceil(gsz);
         let n_groups = (groups_x * groups_y) as usize;
 
-        let threads = resolve_threads(self.config.threads);
-        // When the frame has fewer groups than workers, group claiming
-        // cannot fill the machine — flip to intra-group ray parallelism
-        // instead: groups run serially (in deterministic group order) and
-        // each group's DDA ray grid fans out across the pool. Both modes
-        // are bit-identical for any thread count, so the crossover is
-        // purely a scheduling choice.
-        let ray_parallel = threads > 1 && n_groups < threads;
-        let jobs = if ray_parallel {
-            1
-        } else {
-            threads.min(n_groups).max(1)
-        };
+        let jobs = resolve_threads(self.config.threads).min(n_groups).max(1);
 
         let mut guard = lock_unpoisoned(&self.scratch);
         let StreamScratch {
@@ -881,8 +871,8 @@ impl StreamingScene {
         // Serial per-voxel tier selection (ascending voxel id): a pure
         // function of camera + policy + store layout, so the map — and
         // therefore every tiered fetch — is invariant across worker
-        // counts. `FullQuality` skips the pre-pass entirely: the group
-        // loop then takes the legacy fetch path untouched, which is what
+        // counts. `FullQuality` skips the pre-pass entirely: every voxel
+        // then fetches tier 0, the full-quality column, which is what
         // makes `FullQuality` bit-identical to the pre-tier renderer.
         let use_tiers =
             self.store.tier_count() > 0 && self.config.quality != QualityPolicy::FullQuality;
@@ -896,26 +886,20 @@ impl StreamingScene {
         // Group t renders into its own output slot `groups[t]` (pixels,
         // workload, ledger, trace, ...), which the serial passes below
         // read in group order. One job runs every group on the calling
-        // thread, handing the pool to the intra-group ray fan-out in
-        // ray-parallel mode; more jobs claim groups dynamically from the
-        // pool, each with its own working scratch.
-        let render_group = |scratch: &mut WorkerScratch,
-                            t: usize,
-                            slot: &mut GroupOut,
-                            ray_pool: Option<&mut WorkerPool>| {
+        // thread, without a pool; more jobs claim groups dynamically from
+        // the pool, each with its own working scratch.
+        let render_group = |scratch: &mut WorkerScratch, t: usize, slot: &mut GroupOut| {
             let (gx, gy) = (t as u32 % groups_x, t as u32 / groups_x);
-            self.render_group_into(cam, gx, gy, width, height, tmap, scratch, slot, ray_pool);
+            self.render_group_into(cam, gx, gy, width, height, tmap, scratch, slot);
         };
         let groups = &mut groups[..n_groups];
-        if jobs <= 1 {
-            let mut ray_pool = ray_parallel.then(|| WorkerPool::ensure(pool, threads));
+        if jobs == 1 {
             for (t, slot) in groups.iter_mut().enumerate() {
-                render_group(&mut workers[0], t, slot, ray_pool.as_deref_mut());
+                render_group(&mut workers[0], t, slot);
             }
         } else {
             let workers = &mut workers[..jobs];
-            WorkerPool::ensure(pool, jobs)
-                .run_claimed(workers, groups, |s, t, slot| render_group(s, t, slot, None));
+            WorkerPool::ensure(pool, jobs).run_claimed(workers, groups, render_group);
             // Grow every worker to the largest one's buffers (worker 0
             // first collects the maximum), so the next frame allocates
             // nothing whichever groups each worker claims.
@@ -993,76 +977,71 @@ impl StreamingScene {
         degradation.injected = snap.injected;
         out.degradation = degradation;
 
-        // Working-set cache simulation: replay the groups' recorded
-        // coarse/fine fetch traces, in group order, through the
-        // frame-persistent caches — the cache outcome is a pure function
-        // of that order and therefore invariant across worker-thread
-        // counts. Hits become on-chip bytes, misses become burst-rounded
-        // line fills (the only DRAM transaction traffic of the cached
-        // stages).
-        out.cache = self.config.cache.map(|cache_cfg| {
-            let sim = cache.get_or_insert_with(|| FrameCacheSim {
+        // Fetch metering: replay the groups' recorded coarse/fine fetch
+        // traces in group order — the only place their DRAM and hit bytes
+        // are metered. Without a cache every fetch is its own
+        // burst-rounded DRAM transaction. With one, the traces run through
+        // the frame-persistent caches, whose outcome is a pure function of
+        // that order and therefore invariant across worker-thread counts:
+        // hits become on-chip bytes, misses burst-rounded line fills.
+        let mut sim = self.config.cache.map(|cache_cfg| {
+            &mut *cache.get_or_insert_with(|| FrameCacheSim {
                 coarse: WorkingSetCache::new(cache_cfg),
                 fine: WorkingSetCache::new(cache_cfg),
-            });
-            let fine_bpg = self.store.fine_bytes_per_gaussian();
-            let coarse_bpg = self.store.coarse_bytes_per_gaussian();
-            // Each tier's records live in their own address region past
-            // the tier-0 fine column, mirroring the v3 scene image's
-            // column order — so tiers never alias in the fine cache.
-            let mut tier_base = [0u64; MAX_TIERS];
-            let mut tier_width = [0u64; MAX_TIERS];
-            tier_width[0] = fine_bpg;
-            let mut base = self.store.fine_column_bytes();
-            for tt in 0..self.store.tier_count() {
-                tier_base[tt + 1] = base;
-                tier_width[tt + 1] = self.store.tier_record_bytes(tt);
-                base += self.store.tier_column_bytes(tt);
-            }
-            let mut rep = CacheReport::default();
-            for (w, slot) in workload.tiles.iter_mut().zip(groups.iter()) {
-                for op in &slot.trace {
-                    match *op {
-                        TraceOp::Coarse(vid) => {
-                            let slots = self.store.slots_of(vid);
-                            let addr = slots.start as u64 * coarse_bpg;
-                            let bytes = (slots.end - slots.start) as u64 * coarse_bpg;
-                            let o = sim.coarse.access(addr, bytes, &mut rep.coarse);
-                            ledger.note_hit(Stage::VoxelCoarse, Direction::Read, o.hit_bytes);
-                            ledger.note_dram(Stage::VoxelCoarse, Direction::Read, o.fill_bytes);
-                            w.coarse_hit_bytes += o.hit_bytes;
-                            w.coarse_dram_bytes += o.fill_bytes;
-                        }
-                        TraceOp::Fine(slot) => {
-                            let o =
-                                sim.fine
-                                    .access(slot as u64 * fine_bpg, fine_bpg, &mut rep.fine);
-                            ledger.note_hit(Stage::VoxelFine, Direction::Read, o.hit_bytes);
-                            ledger.note_dram(Stage::VoxelFine, Direction::Read, o.fill_bytes);
-                            ledger.note_tier_dram(0, o.fill_bytes);
-                            w.fine_hit_bytes += o.hit_bytes;
-                            w.fine_dram_bytes += o.fill_bytes;
-                            w.fine_tier_dram_bytes[0] += o.fill_bytes;
-                        }
-                        TraceOp::TierFine { tier, slot } => {
-                            let tu = tier as usize;
-                            let o = sim.fine.access(
-                                tier_base[tu] + slot as u64 * tier_width[tu],
-                                tier_width[tu],
-                                &mut rep.fine,
-                            );
-                            ledger.note_hit(Stage::VoxelFine, Direction::Read, o.hit_bytes);
-                            ledger.note_dram(Stage::VoxelFine, Direction::Read, o.fill_bytes);
-                            ledger.note_tier_dram(tu, o.fill_bytes);
-                            w.fine_hit_bytes += o.hit_bytes;
-                            w.fine_dram_bytes += o.fill_bytes;
-                            w.fine_tier_dram_bytes[tu] += o.fill_bytes;
-                        }
+            })
+        });
+        let burst = self.config.burst_bytes;
+        let coarse_bpg = self.store.coarse_bytes_per_gaussian();
+        // Each tier's records live in their own address region past the
+        // tier-0 fine column, mirroring the v3 scene image's column order
+        // — so tiers never alias in the fine cache.
+        let mut tier_base = [0u64; MAX_TIERS];
+        let mut tier_width = [0u64; MAX_TIERS];
+        tier_width[0] = self.store.fine_bytes_per_gaussian();
+        let mut base = self.store.fine_column_bytes();
+        for tt in 0..self.store.tier_count() {
+            tier_base[tt + 1] = base;
+            tier_width[tt + 1] = self.store.tier_record_bytes(tt);
+            base += self.store.tier_column_bytes(tt);
+        }
+        let mut rep = CacheReport::default();
+        for (w, slot) in workload.tiles.iter_mut().zip(groups.iter()) {
+            for op in &slot.trace {
+                match *op {
+                    TraceOp::Coarse(vid) => {
+                        let slots = self.store.slots_of(vid);
+                        let o = meter_fetch(
+                            sim.as_mut().map(|s| &mut s.coarse),
+                            slots.start as u64 * coarse_bpg,
+                            slots.len() as u64 * coarse_bpg,
+                            burst,
+                            &mut rep.coarse,
+                        );
+                        ledger.note_hit(Stage::VoxelCoarse, Direction::Read, o.hit_bytes);
+                        ledger.note_dram(Stage::VoxelCoarse, Direction::Read, o.fill_bytes);
+                        w.coarse_hit_bytes += o.hit_bytes;
+                        w.coarse_dram_bytes += o.fill_bytes;
+                    }
+                    TraceOp::Fine { tier, slot } => {
+                        let tu = usize::from(tier);
+                        let o = meter_fetch(
+                            sim.as_mut().map(|s| &mut s.fine),
+                            tier_base[tu] + slot as u64 * tier_width[tu],
+                            tier_width[tu],
+                            burst,
+                            &mut rep.fine,
+                        );
+                        ledger.note_hit(Stage::VoxelFine, Direction::Read, o.hit_bytes);
+                        ledger.note_dram(Stage::VoxelFine, Direction::Read, o.fill_bytes);
+                        ledger.note_tier_dram(tu, o.fill_bytes);
+                        w.fine_hit_bytes += o.hit_bytes;
+                        w.fine_dram_bytes += o.fill_bytes;
+                        w.fine_tier_dram_bytes[tu] += o.fill_bytes;
                     }
                 }
             }
-            rep
-        });
+        }
+        out.cache = sim.is_some().then_some(rep);
 
         // Per-tier usage: voxel assignments from the serial pre-pass, byte
         // counters from the merged ledger's tier lanes.
@@ -1199,16 +1178,12 @@ impl StreamingScene {
     }
 
     /// Renders one pixel group into its output slot `out`: the group's
-    /// `group_size²` pixels, its workload (byte counters read back from
-    /// the slot's own ledger, which meters every fetch through `path`),
-    /// its out-of-order blend count and violating Gaussian ids, and — with
-    /// a cache configured — its fetch trace. Every field of `out` is
-    /// rewritten; `scratch` is working state only.
-    ///
-    /// When `pool` is given, the DDA ray grid fans out across its workers
-    /// in contiguous ray-index chunks; the CSR and ordering inputs walk
-    /// the chunks in deterministic ray order, so the result is
-    /// bit-identical to the serial walk for any worker or chunk count.
+    /// `group_size²` pixels, its workload (demand and pixel-writeback
+    /// byte counters read back from the slot's own ledger), its
+    /// out-of-order blend count and violating Gaussian ids, and its
+    /// coarse/fine fetch trace, whose DRAM and hit bytes the frame-end
+    /// replay meters. Every field of `out` is rewritten; `scratch` is
+    /// working state only.
     #[allow(clippy::too_many_arguments)]
     fn render_group_into(
         &self,
@@ -1220,13 +1195,12 @@ impl StreamingScene {
         tier_map: Option<&[u8]>,
         scratch: &mut WorkerScratch,
         out: &mut GroupOut,
-        pool: Option<&mut WorkerPool>,
     ) {
         let gsz = self.config.group_size;
         let rect = TileRect::of_tile(gx, gy, gsz, width, height);
         let mut w = TileWorkload::default();
         let WorkerScratch {
-            ray_chunks,
+            rays,
             csr,
             order,
             order_out,
@@ -1251,14 +1225,6 @@ impl StreamingScene {
         ledger.clear();
         *degradation = DegradationReport::default();
         *error = None;
-        // With a cache configured, coarse/fine fetches are recorded in the
-        // trace and their DRAM/hit accounting happens in the frame-end
-        // replay; without one, each fetch is its own burst-rounded DRAM
-        // transaction, metered right here.
-        let cached = self.config.cache.is_some();
-        // One knob: `validated()` already copied a configured cache's
-        // line-fill size into `burst_bytes`.
-        let burst = self.config.burst_bytes;
 
         // --- VSU: ray sampling + voxel ordering --------------------------
         let (dx, dy, dz) = self.grid.dims();
@@ -1269,51 +1235,28 @@ impl StreamingScene {
         let (px0, py0, px1, py1) = rect.pixel_bounds(width, height);
         let nx = (px1 - px0).div_ceil(stride);
         let ny = (py1 - py0).div_ceil(stride);
-        let n_rays = nx as usize * ny as usize;
-        // DDA over the ray grid: serial into chunk 0, or fanned out over
-        // the pool in contiguous ray-index chunks (rays are independent;
-        // everything downstream walks the chunks in ray order, so the
-        // split is invisible to the output).
-        let ray_jobs = pool
-            .as_ref()
-            .map_or(1, |p| p.size().clamp(1, n_rays.max(1)));
-        if ray_chunks.len() < ray_jobs {
-            ray_chunks.resize_with(ray_jobs, RayChunk::default);
-        }
-        let per = n_rays.div_ceil(ray_jobs);
-        let grid = &self.grid;
-        let fill = |chunk: &mut RayChunk, j: usize| {
-            let r0 = (j * per).min(n_rays);
-            let r1 = ((j + 1) * per).min(n_rays);
-            chunk.base = r0 as u32;
-            chunk.voxels.clear();
-            chunk.ends.clear();
-            chunk.steps = 0;
-            for r in r0..r1 {
-                let px = px0 + (r as u32 % nx) * stride;
-                let py = py0 + (r as u32 / nx) * stride;
+        // DDA over the ray grid in row-major ray order, each ray's
+        // front-to-back voxel list appended to the ray lists.
+        rays.voxels.clear();
+        rays.ends.clear();
+        for ry in 0..ny {
+            for rx in 0..nx {
+                let px = px0 + rx * stride;
+                let py = py0 + ry * stride;
                 let ray = cam.pixel_ray(px as f32 + 0.5, py as f32 + 0.5);
-                chunk.steps += traverse_append(grid, &ray, max_steps, &mut chunk.voxels) as u64;
-                chunk.ends.push(chunk.voxels.len() as u32);
+                w.dda_steps +=
+                    traverse_append(&self.grid, &ray, max_steps, &mut rays.voxels) as u64;
+                rays.ends.push(rays.voxels.len() as u32);
             }
-        };
-        let chunks_live = &mut ray_chunks[..ray_jobs];
-        match pool {
-            Some(pool) => pool.run_chunks_mut(chunks_live, 1, |j, c| fill(&mut c[0], j)),
-            None => fill(&mut chunks_live[0], 0),
         }
-        let chunks_live = &ray_chunks[..ray_jobs];
-        w.rays = n_rays as u32;
-        for c in chunks_live {
-            w.dda_steps += c.steps;
-        }
+        w.rays = nx * ny;
 
         // voxel → pixel lists as a counting-sort CSR over epoch-remapped
         // dense voxel ids (replaces the seed's per-group hash map).
-        csr.build(chunks_live, nx, stride, gsz);
+        csr.build(rays, nx, stride, gsz);
 
         let order_stats = topological_order_into(
-            chunks_live.iter().flat_map(|c| c.ray_slices()),
+            rays.ray_slices(),
             |v| cam.world_to_camera(self.grid.voxel_center(v)).z,
             order,
             order_out,
@@ -1324,9 +1267,6 @@ impl StreamingScene {
         w.order_ops = order_stats.ops;
 
         // --- per-voxel streaming ------------------------------------------
-        let fine_bpg = self.store.fine_bytes_per_gaussian();
-        let coarse_bpg = self.store.coarse_bytes_per_gaussian();
-
         blend.reset(rect, gsz, self.config.voxel_size);
         mask.prepare(gsz, stride);
         for &vid in order_out.iter() {
@@ -1353,10 +1293,10 @@ impl StreamingScene {
             // column (16 B/Gaussian burst, metered by the fetch).
             // Survivors are store *slots* (voxel-contiguous positions);
             // `store.id_of` maps a slot back to its global Gaussian id.
-            // Counters and the trace/DRAM meter run only after the fetch
-            // succeeds, so a skipped voxel leaves no trace — all ledger
-            // adds are commutative sums and the trace-op order is
-            // unchanged, keeping fault-free frames bit-identical to the
+            // Counters and the trace run only after the fetch succeeds,
+            // so a skipped voxel leaves no trace — all ledger adds are
+            // commutative sums and the trace-op order is unchanged,
+            // keeping fault-free frames bit-identical to the
             // pre-fault-path renderer.
             survivors.clear();
             let column = match self.store.try_fetch_coarse(vid, ledger) {
@@ -1372,17 +1312,8 @@ impl StreamingScene {
             };
             w.voxels_processed += 1;
             w.gaussians_streamed += count;
-            // One whole-voxel coarse burst: trace it for the cache replay,
-            // or meter it as an uncached DRAM transaction.
-            if cached {
-                trace.push(TraceOp::Coarse(vid));
-            } else {
-                ledger.note_dram(
-                    Stage::VoxelCoarse,
-                    Direction::Read,
-                    round_to_burst(count * coarse_bpg, burst),
-                );
-            }
+            // One whole-voxel coarse burst, traced for the frame-end meter.
+            trace.push(TraceOp::Coarse(vid));
             if self.config.use_coarse_filter {
                 survivors.extend(column.filter_map(|(slot, pos, s_max)| {
                     coarse_test(cam, pos, s_max, &rect).map(|_| slot)
@@ -1394,111 +1325,63 @@ impl StreamingScene {
             w.coarse_survivors += survivors.len() as u64;
 
             // Phase 2: fine filter — fetches (and for VQ, decodes) each
-            // survivor's second-half record, metered per record. A record
-            // whose page is unavailable degrades to its coarse
-            // approximation (grey isotropic stand-in at the filter's
-            // position/extent) or is dropped — never a panic.
+            // survivor's second-half record at the voxel's tier, traced
+            // per record. Tier 0 fetches every survivor; a LOD tier walks
+            // the ascending survivors against the voxel's ascending tier
+            // slots with a two-pointer merge — survivors the tier pruned
+            // fetch nothing and vanish from the frame, the rest fetch the
+            // tier's narrower record. A record whose page is unavailable
+            // degrades to its coarse approximation (grey isotropic
+            // stand-in at the filter's position/extent) or is dropped —
+            // never a panic.
             splats.clear();
-            let fine_dram_rec = round_to_burst(fine_bpg, burst);
-            let tier = tier_map.map_or(0usize, |m| usize::from(m[vid as usize]));
-            let mut abort = false;
-            if tier == 0 {
-                for &slot in survivors.iter() {
-                    let gi = self.store.id_of(slot);
-                    let g: Gaussian = match self.store.try_fetch_fine(slot, ledger) {
-                        Ok(g) => {
-                            // Each record is one scattered fetch: traced for
-                            // the cache replay, or one burst-rounded DRAM
-                            // transaction.
-                            if cached {
-                                trace.push(TraceOp::Fine(slot));
-                            } else {
-                                ledger.note_dram(Stage::VoxelFine, Direction::Read, fine_dram_rec);
-                                ledger.note_tier_dram(0, fine_dram_rec);
-                            }
-                            g
-                        }
-                        Err(e) => {
-                            if !self.config.degrade_on_fault {
-                                *error = Some(e);
-                                abort = true;
-                                break;
-                            }
-                            match self.store.try_coarse_of(slot) {
-                                Ok((pos, s_max)) => {
-                                    degradation.fine_degraded += 1;
-                                    Gaussian::isotropic(pos, s_max, Vec3::new(0.5, 0.5, 0.5), 0.5)
-                                }
-                                Err(_) => {
-                                    degradation.fine_skipped += 1;
-                                    continue;
-                                }
-                            }
-                        }
-                    };
-                    if let Some(s) = fine_test(cam, &g, &rect, self.config.sh_degree) {
-                        splats.push((gi, s));
+            let tier = tier_map.map_or(0, |m| m[vid as usize]);
+            let lod = usize::from(tier).checked_sub(1);
+            let mut tslots = lod
+                .map_or(0..0, |t| self.store.tier_slots_of(t, vid))
+                .peekable();
+            for &slot in survivors.iter() {
+                let (fetched_slot, fetched) = match lod {
+                    None => (slot, self.store.try_fetch_fine(slot, ledger)),
+                    Some(t) => {
+                        let global = |ts: &u32| self.store.tier_global_slot(t, *ts);
+                        while tslots.next_if(|ts| global(ts) < slot).is_some() {}
+                        let Some(tslot) = tslots.next_if(|ts| global(ts) == slot) else {
+                            continue; // pruned at this tier
+                        };
+                        (tslot, self.store.try_fetch_tier_fine(t, tslot, ledger))
                     }
-                }
-            } else {
-                // LOD path: walk the ascending survivors against the
-                // voxel's ascending tier slots with a two-pointer merge —
-                // survivors the tier pruned fetch nothing and vanish from
-                // the frame, the rest fetch the tier's narrower record.
-                let t = tier - 1;
-                let twidth = self.store.tier_record_bytes(t);
-                let tier_dram_rec = round_to_burst(twidth, burst);
-                let trange = self.store.tier_slots_of(t, vid);
-                let mut ts = trange.start;
-                let te = trange.end;
-                for &slot in survivors.iter() {
-                    while ts < te && self.store.tier_global_slot(t, ts) < slot {
-                        ts += 1;
+                };
+                let g: Gaussian = match fetched {
+                    Ok(g) => {
+                        trace.push(TraceOp::Fine {
+                            tier,
+                            slot: fetched_slot,
+                        });
+                        g
                     }
-                    if ts >= te || self.store.tier_global_slot(t, ts) != slot {
-                        continue; // pruned at this tier
-                    }
-                    let tslot = ts;
-                    ts += 1;
-                    let gi = self.store.id_of(slot);
-                    let g: Gaussian = match self.store.try_fetch_tier_fine(t, tslot, ledger) {
-                        Ok(g) => {
-                            if cached {
-                                trace.push(TraceOp::TierFine {
-                                    // gs-lint: allow(D004) tier index < MAX_TIERS
-                                    tier: tier as u8,
-                                    slot: tslot,
-                                });
-                            } else {
-                                ledger.note_dram(Stage::VoxelFine, Direction::Read, tier_dram_rec);
-                                ledger.note_tier_dram(tier, tier_dram_rec);
-                            }
-                            g
+                    Err(e) => {
+                        if !self.config.degrade_on_fault {
+                            *error = Some(e);
+                            break;
                         }
-                        Err(e) => {
-                            if !self.config.degrade_on_fault {
-                                *error = Some(e);
-                                abort = true;
-                                break;
+                        match self.store.try_coarse_of(slot) {
+                            Ok((pos, s_max)) => {
+                                degradation.fine_degraded += 1;
+                                Gaussian::isotropic(pos, s_max, Vec3::new(0.5, 0.5, 0.5), 0.5)
                             }
-                            match self.store.try_coarse_of(slot) {
-                                Ok((pos, s_max)) => {
-                                    degradation.fine_degraded += 1;
-                                    Gaussian::isotropic(pos, s_max, Vec3::new(0.5, 0.5, 0.5), 0.5)
-                                }
-                                Err(_) => {
-                                    degradation.fine_skipped += 1;
-                                    continue;
-                                }
+                            Err(_) => {
+                                degradation.fine_skipped += 1;
+                                continue;
                             }
                         }
-                    };
-                    if let Some(s) = fine_test(cam, &g, &rect, self.config.sh_degree) {
-                        splats.push((gi, s));
                     }
+                };
+                if let Some(s) = fine_test(cam, &g, &rect, self.config.sh_degree) {
+                    splats.push((self.store.id_of(slot), s));
                 }
             }
-            if abort {
+            if error.is_some() {
                 break;
             }
             w.fine_survivors += splats.len() as u64;
@@ -1526,20 +1409,22 @@ impl StreamingScene {
         // Final pixel writeback (RGBA f32): one contiguous burst-rounded
         // DRAM transaction, metered like every other byte (never cached).
         let live_pixels = ((rect.x1 - rect.x0) * (rect.y1 - rect.y0)) as u64;
-        ledger.add_transfer(Stage::PixelOut, Direction::Write, live_pixels * 16, burst);
+        ledger.add_transfer(
+            Stage::PixelOut,
+            Direction::Write,
+            live_pixels * 16,
+            self.config.burst_bytes,
+        );
 
         // The group's byte counters are read back from its ledger — the
         // ledger is the source of truth, the workload a per-tile view.
-        // (With a cache, the coarse/fine DRAM counters are zero here; the
-        // frame-end replay fills them in per group.)
+        // The coarse/fine DRAM and hit counters stay zero here; the
+        // frame-end replay meters them per group.
         w.coarse_bytes = ledger.get(Stage::VoxelCoarse, Direction::Read);
         w.fine_bytes = ledger.get(Stage::VoxelFine, Direction::Read);
         w.pixel_bytes = ledger.get(Stage::PixelOut, Direction::Write);
-        w.coarse_dram_bytes = ledger.dram(Stage::VoxelCoarse, Direction::Read);
-        w.fine_dram_bytes = ledger.dram(Stage::VoxelFine, Direction::Read);
         w.pixel_dram_bytes = ledger.dram(Stage::PixelOut, Direction::Write);
         w.fine_tier_bytes = ledger.tier_demand_all();
-        w.fine_tier_dram_bytes = ledger.tier_dram_all();
         *workload = w;
 
         pixels.resize((gsz * gsz) as usize, Vec3::ZERO);
@@ -1582,21 +1467,39 @@ struct FrameCacheSim {
     fine: WorkingSetCache,
 }
 
-/// One recorded fetch of a group's coarse/fine phases, replayed through
-/// the cache simulation in deterministic group order at frame end.
+/// Meters one traced fetch of `bytes` at `addr`: through the stage's
+/// cache when one is configured, else as its own burst-rounded DRAM
+/// transaction with no on-chip hit.
+fn meter_fetch(
+    cache: Option<&mut WorkingSetCache>,
+    addr: u64,
+    bytes: u64,
+    burst: u64,
+    stats: &mut CacheStats,
+) -> AccessOutcome {
+    match cache {
+        Some(cache) => cache.access(addr, bytes, stats),
+        None => AccessOutcome {
+            fill_bytes: round_to_burst(bytes, burst),
+            ..AccessOutcome::default()
+        },
+    }
+}
+
+/// One recorded fetch of a group's coarse/fine phases, metered in
+/// deterministic group order at frame end.
 #[derive(Copy, Clone, Debug)]
 enum TraceOp {
     /// A whole-voxel first-half burst.
     Coarse(u32),
-    /// One second-half record fetch (tier 0, global slot addressing).
-    Fine(u32),
-    /// One LOD-tier record fetch: overall tier index (≥ 1) plus the
-    /// tier-local slot; the replay addresses it past the tier-0 column so
-    /// tiers never alias in the fine cache.
-    TierFine {
-        /// Overall tier (1.. — tier 0 uses [`TraceOp::Fine`]).
+    /// One second-half record fetch: overall tier index (0 = the
+    /// full-quality column, global slot addressing) plus the tier's slot;
+    /// the replay addresses tiers ≥ 1 past the tier-0 column so tiers
+    /// never alias in the fine cache.
+    Fine {
+        /// Overall tier (0 = full quality).
         tier: u8,
-        /// Tier-local slot index.
+        /// Slot index within the tier's column.
         slot: u32,
     },
 }
@@ -1606,9 +1509,8 @@ enum TraceOp {
 /// which worker renders which group never shows in the output.
 #[derive(Debug, Default)]
 struct WorkerScratch {
-    /// Flat per-job DDA ray chunks (slot 0 serves the serial path); each
-    /// holds its rays' voxel lists back to back.
-    ray_chunks: Vec<RayChunk>,
+    /// The current group's DDA ray lists.
+    rays: RayLists,
     /// voxel → pixel-list CSR over epoch-remapped dense voxel ids
     /// (replaces the seed's `HashMap<u32, Vec<u32>>` + spare-list pool).
     csr: VoxelPixelCsr,
@@ -1634,10 +1536,8 @@ impl WorkerScratch {
     /// allocates — warm frames stay allocation-free although the
     /// group → worker assignment changes from frame to frame.
     fn reserve_like(&mut self, peer: &WorkerScratch) {
-        for (c, p) in self.ray_chunks.iter_mut().zip(&peer.ray_chunks) {
-            reserve_to(&mut c.voxels, p.voxels.capacity());
-            reserve_to(&mut c.ends, p.ends.capacity());
-        }
+        reserve_to(&mut self.rays.voxels, peer.rays.voxels.capacity());
+        reserve_to(&mut self.rays.ends, peer.rays.ends.capacity());
         self.csr.reserve_like(&peer.csr);
         self.order.reserve_like(&peer.order);
         reserve_to(&mut self.order_out, peer.order_out.capacity());
@@ -1658,9 +1558,8 @@ struct GroupOut {
     vblends: u64,
     /// Gaussians the group blended out of depth order.
     violating: Vec<u32>,
-    /// The group's recorded coarse/fine fetches, replayed through the
-    /// frame's cache simulation in group order. Empty when no cache is
-    /// configured.
+    /// The group's recorded coarse/fine fetches, metered at frame end in
+    /// group order (through the cache simulation when one is configured).
     trace: Vec<TraceOp>,
     /// Every store fetch and the pixel writeback of this group, merged
     /// into the frame ledger after the parallel section.
@@ -1671,24 +1570,19 @@ struct GroupOut {
     error: Option<StoreError>,
 }
 
-/// One DDA job's contiguous slice of a group's ray grid: the rays' voxel
-/// lists appended back to back, with per-ray end offsets. Global ray index
-/// `base + i` recovers each ray's pixel, so chunks carry no per-ray
-/// metadata and a chunk boundary is invisible to the merged walk.
+/// A group's DDA ray lists: every ray's voxel list appended back to
+/// back, with per-ray end offsets. Ray index `i` recovers the ray's
+/// pixel, so the lists carry no per-ray metadata.
 #[derive(Debug, Default)]
-struct RayChunk {
-    /// Concatenated voxel lists of this chunk's rays, front-to-back.
+struct RayLists {
+    /// Concatenated voxel lists of the group's rays, front-to-back.
     voxels: Vec<u32>,
     /// End offset of ray `i`'s list within `voxels`.
     ends: Vec<u32>,
-    /// DDA steps taken by this chunk's rays.
-    steps: u64,
-    /// Global index of the chunk's first ray.
-    base: u32,
 }
 
-impl RayChunk {
-    /// The chunk's per-ray voxel slices, in ray order.
+impl RayLists {
+    /// The per-ray voxel slices, in ray order.
     fn ray_slices(&self) -> impl Iterator<Item = &[u32]> + '_ {
         let mut start = 0usize;
         self.ends.iter().map(move |&e| {
@@ -1724,9 +1618,9 @@ struct VoxelPixelCsr {
 }
 
 impl VoxelPixelCsr {
-    /// Rebuilds the CSR from the group's ray chunks. `nx`/`stride`/`gsz`
-    /// recover each ray's group-local pixel index from its global index.
-    fn build(&mut self, chunks: &[RayChunk], nx: u32, stride: u32, gsz: u32) {
+    /// Rebuilds the CSR from the group's ray lists. `nx`/`stride`/`gsz`
+    /// recover each ray's group-local pixel index from its ray index.
+    fn build(&mut self, rays: &RayLists, nx: u32, stride: u32, gsz: u32) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // u32 epoch wrapped: old stamps could alias. Reset once.
@@ -1734,30 +1628,26 @@ impl VoxelPixelCsr {
             self.epoch = 1;
         }
         self.counts.clear();
-        let mut total = 0usize;
         // Pass one: intern each voxel id on first sight, count incidences.
         // (A ray visits a voxel at most once — convex cell walk — so every
         // (ray, voxel) pair is one incidence, exactly like the seed's
         // per-ray hash-map pushes.)
-        for c in chunks {
-            for &v in &c.voxels {
-                let slot = v as usize;
-                if slot >= self.local.len() {
-                    self.local.resize(slot + 1, 0);
-                    self.stamp.resize(slot + 1, 0);
-                }
-                let l = if self.stamp[slot] == self.epoch {
-                    self.local[slot]
-                } else {
-                    let l = self.counts.len() as u32;
-                    self.stamp[slot] = self.epoch;
-                    self.local[slot] = l;
-                    self.counts.push(0);
-                    l
-                };
-                self.counts[l as usize] += 1;
-                total += 1;
+        for &v in &rays.voxels {
+            let slot = v as usize;
+            if slot >= self.local.len() {
+                self.local.resize(slot + 1, 0);
+                self.stamp.resize(slot + 1, 0);
             }
+            let l = if self.stamp[slot] == self.epoch {
+                self.local[slot]
+            } else {
+                let l = self.counts.len() as u32;
+                self.stamp[slot] = self.epoch;
+                self.local[slot] = l;
+                self.counts.push(0);
+                l
+            };
+            self.counts[l as usize] += 1;
         }
         // Prefix sum → offsets; cursors start at each list's offset.
         self.off.clear();
@@ -1770,21 +1660,16 @@ impl VoxelPixelCsr {
         self.cursor.clear();
         self.cursor
             .extend_from_slice(&self.off[..self.counts.len()]);
-        // Pass two: scatter pixel indices in global ray order, so each
-        // voxel's list is sorted exactly like the seed's push order.
+        // Pass two: scatter pixel indices in ray order, so each voxel's
+        // list is sorted exactly like the seed's push order.
         self.pixels.clear();
-        self.pixels.resize(total, 0);
-        for c in chunks {
-            let mut s = 0usize;
-            for (i, &e) in c.ends.iter().enumerate() {
-                let r = c.base + i as u32;
-                let pix = (r / nx) * stride * gsz + (r % nx) * stride;
-                for &v in &c.voxels[s..e as usize] {
-                    let l = self.local[v as usize] as usize;
-                    self.pixels[self.cursor[l] as usize] = pix;
-                    self.cursor[l] += 1;
-                }
-                s = e as usize;
+        self.pixels.resize(rays.voxels.len(), 0);
+        for (r, voxels) in (0u32..).zip(rays.ray_slices()) {
+            let pix = (r / nx) * stride * gsz + (r % nx) * stride;
+            for &v in voxels {
+                let l = self.local[v as usize] as usize;
+                self.pixels[self.cursor[l] as usize] = pix;
+                self.cursor[l] += 1;
             }
         }
     }
@@ -2624,33 +2509,6 @@ mod tests {
         assert!(off_rect > 0 && saturated > 0);
         assert!(partial > 0 && partial < 400, "need full and partial groups");
         assert!(masked_violations > 0 && unmasked_blends > 0);
-    }
-
-    #[test]
-    fn intra_group_ray_parallelism_is_bit_identical() {
-        // Group sizes that leave fewer groups than workers flip the
-        // renderer into ray-parallel mode; output must not change for any
-        // thread count (the ROADMAP determinism contract).
-        let scene = SceneKind::Truck.build(&SceneConfig::tiny());
-        let cam = &scene.eval_cameras[0];
-        for group_size in [128, 256] {
-            let base = StreamingConfig {
-                voxel_size: scene.voxel_size,
-                group_size,
-                ..Default::default()
-            };
-            let serial = StreamingScene::new(
-                scene.trained.clone(),
-                StreamingConfig { threads: 1, ..base },
-            )
-            .render(cam);
-            for threads in [2, 6, 0] {
-                let par =
-                    StreamingScene::new(scene.trained.clone(), StreamingConfig { threads, ..base })
-                        .render(cam);
-                outputs_identical(&serial, &par);
-            }
-        }
     }
 
     #[test]

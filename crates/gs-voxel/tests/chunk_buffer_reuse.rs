@@ -1,26 +1,25 @@
-//! Per-group output slots and per-worker scratch survive mode switches.
+//! Per-group output slots and per-worker scratch survive group-count
+//! changes.
 //!
 //! Each pixel group owns an output slot (pixels, workload, blend counts,
-//! ledger) and each group-claiming worker a working scratch, so one
-//! `StreamingScene` that alternates between ray-parallel frames (fewer
-//! groups than workers: one worker renders every group, fanning each
-//! group's rays out over the pool) and group-claiming frames (four
-//! workers claiming groups dynamically) reuses the same slots and
-//! scratch back and forth, with a different number of live slots per
-//! frame. Every frame rendered into one reused `StreamingOutput` must
-//! still be byte-identical to a fresh serial render.
+//! ledger, fetch trace) and each group-claiming worker a working
+//! scratch, so one `StreamingScene` at 4 workers that alternates between
+//! 2-group frames (two jobs) and 9-group frames (four jobs claiming
+//! groups dynamically) reuses the same slots and scratch back and forth,
+//! with a different number of live slots and workers per frame. Every
+//! frame rendered into one reused `StreamingOutput` must still be
+//! byte-identical to a fresh serial render.
 
 use gs_core::camera::{Camera, Intrinsics};
 use gs_scene::{SceneConfig, SceneKind};
 use gs_voxel::{StreamingConfig, StreamingOutput, StreamingScene};
 
 #[test]
-fn alternating_ray_parallel_and_chunked_frames_match_fresh_serial_renders() {
+fn alternating_two_and_nine_group_frames_match_fresh_serial_renders() {
     let scene = SceneKind::Truck.build(&SceneConfig::tiny());
     let eval = scene.eval_cameras[0];
-    // 48×32 at the default 32-pixel groups is 2 groups (< 4 workers:
-    // ray-parallel); the 96×72 eval camera is 9 groups claimed by 4
-    // workers.
+    // 48×32 at the default 32-pixel groups is 2 groups (fewer than the
+    // 4 workers); the 96×72 eval camera is 9 groups claimed by 4 workers.
     let small = Camera {
         intrinsics: Intrinsics::from_fov(48, 32, eval.intrinsics.fov_x()),
         pose: eval.pose,

@@ -116,34 +116,38 @@ fn repeated_streaming_frames_are_stable() {
 }
 
 #[test]
-fn ray_parallel_mode_is_thread_count_invariant() {
-    // A group size that leaves fewer pixel groups than workers flips the
-    // renderer into intra-group ray parallelism (the DDA ray grid fans
-    // out across the pool instead of the group list). Every observable —
-    // image, per-tile workload records, ledger, violations — must be
-    // byte-identical to the serial walk for any thread count, exactly
-    // like group claiming.
+fn fewer_groups_than_workers_is_thread_count_invariant() {
+    // Group sizes that leave fewer pixel groups than workers (the 96×72
+    // frame is 2×2 groups at 64 px and a single group at 128 and 256 px)
+    // run one job per group, or the inline serial loop for a single
+    // group. Every observable — image, per-tile workload records, ledger,
+    // violations, cache and degradation reports — must be byte-identical
+    // to the serial walk for any thread count.
     let scene = SceneKind::Truck.build(&SceneConfig::tiny());
-    let base = StreamingConfig {
-        voxel_size: scene.voxel_size,
-        group_size: 128, // 160×120 frame → 2×1 groups
-        ..Default::default()
-    };
-    let seq = StreamingScene::new(
-        scene.trained.clone(),
-        StreamingConfig { threads: 1, ..base },
-    );
-    let par = StreamingScene::new(
-        scene.trained.clone(),
-        StreamingConfig { threads: 8, ..base },
-    );
-    for cam in &scene.eval_cameras {
-        let a = seq.render(cam);
-        let b = par.render(cam);
-        assert_eq!(a.image, b.image);
-        assert_eq!(a.workload, b.workload, "per-tile records must match");
-        assert_eq!(a.ledger, b.ledger, "ledger must be thread-invariant");
-        assert_eq!(a.violations.flags, b.violations.flags);
+    for group_size in [64, 128, 256] {
+        let base = StreamingConfig {
+            voxel_size: scene.voxel_size,
+            group_size,
+            ..Default::default()
+        };
+        let seq = StreamingScene::new(
+            scene.trained.clone(),
+            StreamingConfig { threads: 1, ..base },
+        );
+        for threads in [2, 6, 8, 0] {
+            let par =
+                StreamingScene::new(scene.trained.clone(), StreamingConfig { threads, ..base });
+            for cam in &scene.eval_cameras {
+                let (a, b) = (seq.render(cam), par.render(cam));
+                let at = format!("group_size={group_size} threads={threads}");
+                assert_eq!(a.image, b.image, "{at}: image");
+                assert_eq!(a.workload, b.workload, "{at}: per-tile records");
+                assert_eq!(a.ledger, b.ledger, "{at}: ledger");
+                assert_eq!(a.violations, b.violations, "{at}: violations");
+                assert_eq!(a.cache, b.cache, "{at}: cache report");
+                assert_eq!(a.degradation, b.degradation, "{at}: degradation");
+            }
+        }
     }
 }
 
