@@ -2512,6 +2512,35 @@ mod tests {
     }
 
     #[test]
+    fn intra_group_ray_parallelism_is_bit_identical() {
+        // Group sizes that leave fewer groups than workers used to flip the
+        // renderer into a ray-parallel mode; they now run one group-claiming
+        // job per group, or the inline serial loop for a single group.
+        // Output must not change for any thread count (the ROADMAP
+        // determinism contract).
+        let scene = SceneKind::Truck.build(&SceneConfig::tiny());
+        let cam = &scene.eval_cameras[0];
+        for group_size in [128, 256] {
+            let base = StreamingConfig {
+                voxel_size: scene.voxel_size,
+                group_size,
+                ..Default::default()
+            };
+            let serial = StreamingScene::new(
+                scene.trained.clone(),
+                StreamingConfig { threads: 1, ..base },
+            )
+            .render(cam);
+            for threads in [2, 6, 0] {
+                let par =
+                    StreamingScene::new(scene.trained.clone(), StreamingConfig { threads, ..base })
+                        .render(cam);
+                outputs_identical(&serial, &par);
+            }
+        }
+    }
+
+    #[test]
     fn render_into_reuses_buffers_and_matches_render() {
         let scene = SceneKind::Lego.build(&SceneConfig::tiny());
         let s = StreamingScene::new(
