@@ -1,7 +1,7 @@
 //! Per-Gaussian importance estimation over a set of training views.
 
 use gs_core::camera::Camera;
-use gs_core::ewa::project_gaussian;
+use gs_core::ewa::Projector;
 use gs_scene::GaussianCloud;
 
 /// Estimates each Gaussian's contribution across `views`.
@@ -16,8 +16,9 @@ pub fn view_importance(cloud: &GaussianCloud, views: &[Camera]) -> Vec<f64> {
     // Cap the projected radius so a handful of huge floaters cannot dominate.
     const RADIUS_CAP: f32 = 64.0;
     for cam in views {
+        let projector = Projector::new(cam);
         for (i, g) in cloud.iter().enumerate() {
-            let Some(p) = project_gaussian(cam, g.pos, g.cov3d()) else {
+            let Some(p) = projector.full(g.pos, g.cov3d()) else {
                 continue;
             };
             // Skip fully off-screen Gaussians.

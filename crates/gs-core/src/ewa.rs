@@ -90,54 +90,126 @@ pub struct ProjectionFull {
     pub m2: Vec3,
 }
 
+/// The per-camera constants of the EWA projection, computed once per
+/// camera instead of once per Gaussian: the Jacobian clamp
+/// `1.3·tan(fov/2)` per axis costs an `atan` and a `tan` each, more than
+/// the whole coarse projection it feeds.
+///
+/// [`Projector::full`] and [`Projector::coarse`] are the only
+/// implementations of the fine and coarse projections;
+/// [`project_gaussian_full`], [`project_gaussian`] and [`project_coarse`]
+/// build a `Projector` per call.
+#[derive(Copy, Clone, Debug)]
+pub struct Projector {
+    cam: Camera,
+    /// Horizontal Jacobian clamp, `1.3·tan(fov_x/2)`.
+    lim_x: f32,
+    /// Vertical Jacobian clamp, `1.3·tan(fov_y/2)`.
+    lim_y: f32,
+}
+
+impl Projector {
+    /// Derives `cam`'s projection constants.
+    pub fn new(cam: &Camera) -> Projector {
+        let intr = &cam.intrinsics;
+        // Clamp the off-axis position used by the Jacobian, as 3DGS does, to
+        // keep the affine approximation stable near the frustum edges.
+        Projector {
+            cam: *cam,
+            lim_x: 1.3 * (intr.fov_x() * 0.5).tan(),
+            lim_y: 1.3 * (intr.fov_y() * 0.5).tan(),
+        }
+    }
+
+    /// The camera these constants belong to.
+    pub fn camera(&self) -> &Camera {
+        &self.cam
+    }
+
+    /// Projects a Gaussian and returns the full detail (see
+    /// [`ProjectionFull`] and [`project_gaussian_full`]).
+    pub fn full(&self, pos: Vec3, cov3d: Sym3) -> Option<ProjectionFull> {
+        let cam = &self.cam;
+        let t = cam.world_to_camera(pos);
+        if t.z <= 0.01 {
+            return None;
+        }
+
+        let intr = &cam.intrinsics;
+        let (lim_x, lim_y) = (self.lim_x, self.lim_y);
+        let txz = (t.x / t.z).clamp(-lim_x, lim_x) * t.z;
+        let tyz = (t.y / t.z).clamp(-lim_y, lim_y) * t.z;
+
+        let inv_z = 1.0 / t.z;
+        let inv_z2 = inv_z * inv_z;
+        // Rows of the 2×3 Jacobian J, padded to 3×3 (third row zero).
+        let j = Mat3::from_rows(
+            [intr.fx * inv_z, 0.0, -intr.fx * txz * inv_z2],
+            [0.0, intr.fy * inv_z, -intr.fy * tyz * inv_z2],
+            [0.0, 0.0, 0.0],
+        );
+        let w = cam.pose.rotation;
+        let m = j * w;
+        let full = cov3d.congruence(&m);
+        let cov2d = Sym2::new(full.xx + COV2D_DILATION, full.xy, full.yy + COV2D_DILATION);
+
+        let conic = cov2d.inverse()?;
+        if !conic.is_finite() {
+            return None;
+        }
+        let (lmax, _) = cov2d.eigenvalues();
+        let radius_px = (RADIUS_SIGMAS * lmax.max(0.0).sqrt()).ceil();
+
+        let mean_px = Vec2::new(
+            intr.fx * t.x * inv_z + intr.cx,
+            intr.fy * t.y * inv_z + intr.cy,
+        );
+        Some(ProjectionFull {
+            mean_px,
+            depth: t.z,
+            cov2d,
+            conic,
+            radius_px,
+            m1: m.row(0),
+            m2: m.row(1),
+        })
+    }
+
+    /// Coarse 4-parameter projection (see [`project_coarse`]).
+    pub fn coarse(&self, pos: Vec3, s_max: f32) -> Option<CoarseProjection> {
+        let cam = &self.cam;
+        let t = cam.world_to_camera(pos);
+        if t.z <= 0.01 {
+            return None;
+        }
+        let intr = &cam.intrinsics;
+        let inv_z = 1.0 / t.z;
+        let mean_px = Vec2::new(
+            intr.fx * t.x * inv_z + intr.cx,
+            intr.fy * t.y * inv_z + intr.cy,
+        );
+        // Same clamped off-axis terms as the fine path's Jacobian.
+        let u = (t.x * inv_z).clamp(-self.lim_x, self.lim_x); // tx/z
+        let v = (t.y * inv_z).clamp(-self.lim_y, self.lim_y); // ty/z
+        let a = (intr.fx * inv_z) * (intr.fx * inv_z) * (1.0 + u * u); // ‖j₁‖²
+        let b = (intr.fy * inv_z) * (intr.fy * inv_z) * (1.0 + v * v); // ‖j₂‖²
+        let c = (intr.fx * inv_z) * (intr.fy * inv_z) * u * v; // j₁·j₂
+        let sigma_px = s_max * (a.max(b) + c.abs()).sqrt();
+        let radius_px = (RADIUS_SIGMAS * (sigma_px * sigma_px + COV2D_DILATION).sqrt()).ceil();
+        Some(CoarseProjection {
+            mean_px,
+            depth: t.z,
+            radius_px,
+        })
+    }
+}
+
 /// Projects a Gaussian and returns the full detail (see [`ProjectionFull`]).
+///
+/// One-shot form of [`Projector::full`]; loops over many Gaussians should
+/// build one [`Projector`] per camera.
 pub fn project_gaussian_full(cam: &Camera, pos: Vec3, cov3d: Sym3) -> Option<ProjectionFull> {
-    let t = cam.world_to_camera(pos);
-    if t.z <= 0.01 {
-        return None;
-    }
-
-    let intr = &cam.intrinsics;
-    // Clamp the off-axis position used by the Jacobian, as 3DGS does, to keep
-    // the affine approximation stable near the frustum edges.
-    let lim_x = 1.3 * (intr.fov_x() * 0.5).tan();
-    let lim_y = 1.3 * (intr.fov_y() * 0.5).tan();
-    let txz = (t.x / t.z).clamp(-lim_x, lim_x) * t.z;
-    let tyz = (t.y / t.z).clamp(-lim_y, lim_y) * t.z;
-
-    let inv_z = 1.0 / t.z;
-    let inv_z2 = inv_z * inv_z;
-    // Rows of the 2×3 Jacobian J, padded to 3×3 (third row zero).
-    let j = Mat3::from_rows(
-        [intr.fx * inv_z, 0.0, -intr.fx * txz * inv_z2],
-        [0.0, intr.fy * inv_z, -intr.fy * tyz * inv_z2],
-        [0.0, 0.0, 0.0],
-    );
-    let w = cam.pose.rotation;
-    let m = j * w;
-    let full = cov3d.congruence(&m);
-    let cov2d = Sym2::new(full.xx + COV2D_DILATION, full.xy, full.yy + COV2D_DILATION);
-
-    let conic = cov2d.inverse()?;
-    if !conic.is_finite() {
-        return None;
-    }
-    let (lmax, _) = cov2d.eigenvalues();
-    let radius_px = (RADIUS_SIGMAS * lmax.max(0.0).sqrt()).ceil();
-
-    let mean_px = Vec2::new(
-        intr.fx * t.x * inv_z + intr.cx,
-        intr.fy * t.y * inv_z + intr.cy,
-    );
-    Some(ProjectionFull {
-        mean_px,
-        depth: t.z,
-        cov2d,
-        conic,
-        radius_px,
-        m1: m.row(0),
-        m2: m.row(1),
-    })
+    Projector::new(cam).full(pos, cov3d)
 }
 
 /// Projects a Gaussian (position + 3-D covariance) through `cam`.
@@ -145,7 +217,7 @@ pub fn project_gaussian_full(cam: &Camera, pos: Vec3, cov3d: Sym3) -> Option<Pro
 /// Returns `None` when the Gaussian is behind the near plane or its projected
 /// covariance degenerates; such Gaussians are culled exactly as in 3DGS.
 pub fn project_gaussian(cam: &Camera, pos: Vec3, cov3d: Sym3) -> Option<Projected> {
-    let p = project_gaussian_full(cam, pos, cov3d)?;
+    let p = Projector::new(cam).full(pos, cov3d)?;
     Some(Projected {
         mean_px: p.mean_px,
         depth: p.depth,
@@ -165,33 +237,12 @@ pub fn project_gaussian(cam: &Camera, pos: Vec3, cov3d: Sym3) -> Option<Projecte
 /// provable bound `σ_max(J)² ≤ max(‖j₁‖², ‖j₂‖²) + |j₁·j₂|` (the largest
 /// eigenvalue of the 2×2 Gram matrix is at most its largest diagonal entry
 /// plus the off-diagonal magnitude), which keeps the filter conservative
-/// for any position in the frustum while staying a ~20-MAC computation.
+/// for any position in the frustum. With the Jacobian clamp taken from a
+/// per-camera [`Projector`], [`Projector::coarse`] is a ~20-MAC
+/// computation per Gaussian; this one-shot wrapper also pays for the
+/// clamp's `atan`/`tan`.
 pub fn project_coarse(cam: &Camera, pos: Vec3, s_max: f32) -> Option<CoarseProjection> {
-    let t = cam.world_to_camera(pos);
-    if t.z <= 0.01 {
-        return None;
-    }
-    let intr = &cam.intrinsics;
-    let inv_z = 1.0 / t.z;
-    let mean_px = Vec2::new(
-        intr.fx * t.x * inv_z + intr.cx,
-        intr.fy * t.y * inv_z + intr.cy,
-    );
-    // Same clamped off-axis terms as the fine path's Jacobian.
-    let lim_x = 1.3 * (intr.fov_x() * 0.5).tan();
-    let lim_y = 1.3 * (intr.fov_y() * 0.5).tan();
-    let u = (t.x * inv_z).clamp(-lim_x, lim_x); // tx/z
-    let v = (t.y * inv_z).clamp(-lim_y, lim_y); // ty/z
-    let a = (intr.fx * inv_z) * (intr.fx * inv_z) * (1.0 + u * u); // ‖j₁‖²
-    let b = (intr.fy * inv_z) * (intr.fy * inv_z) * (1.0 + v * v); // ‖j₂‖²
-    let c = (intr.fx * inv_z) * (intr.fy * inv_z) * u * v; // j₁·j₂
-    let sigma_px = s_max * (a.max(b) + c.abs()).sqrt();
-    let radius_px = (RADIUS_SIGMAS * (sigma_px * sigma_px + COV2D_DILATION).sqrt()).ceil();
-    Some(CoarseProjection {
-        mean_px,
-        depth: t.z,
-        radius_px,
-    })
+    Projector::new(cam).coarse(pos, s_max)
 }
 
 /// Gaussian falloff weight at pixel offset `d` from the projected mean:
@@ -214,41 +265,75 @@ pub fn falloff_from_power(power: f32) -> f32 {
     power.exp()
 }
 
-/// Row-hoisted conic evaluation for lane-wise blenders.
+/// Column-hoisted conic evaluation for lane-wise blenders.
 ///
-/// For a fixed pixel-row offset `dy`, the quadratic form
-/// `a·dx² + 2b·dx·dy + c·dy²` shares the subterms `2b` (per splat) and
-/// `(c·dy)·dy` (per row) across every pixel of the row. [`Self::power_at`]
-/// hoists exactly those subtrees and keeps the remaining operations in the
-/// same association order as [`Sym2::quadratic_form`]
-/// (`((a·dx)·dx + ((2b)·dx)·dy) + (c·dy)·dy`), so the result is
-/// **bit-identical** to the scalar `falloff_power(conic, Vec2::new(dx, dy))`
-/// — hoisting is caching identical subtree evaluations, never re-associating
-/// them. (A forward-differenced quadratic would be cheaper still, but its
-/// running sums round differently and break byte-exactness.)
+/// Over a splat's pixel box the quadratic form
+/// `a·dx² + 2b·dx·dy + c·dy²` splits into a per-column part (`(a·dx)·dx`
+/// and `(2b)·dx`, filled once per splat by [`Self::fill`]) and a per-row
+/// part (`dy` and `(c·dy)·dy`, taken once per row by [`Self::row`]).
+/// [`FalloffRow::power_at`] adds them in the same association order as
+/// [`Sym2::quadratic_form`] (`((a·dx)·dx + ((2b)·dx)·dy) + (c·dy)·dy`), so
+/// every power is **bit-identical** to the scalar
+/// `falloff_power(conic, Vec2::new(dx, dy))`: the tables cache identical
+/// subtree evaluations and never re-associate them. (A forward-differenced
+/// quadratic would be cheaper still, but its running sums round
+/// differently and break byte-exactness.)
+///
+/// The table keeps its capacity across splats, so a warm blender fills
+/// it without allocating.
+#[derive(Clone, Debug, Default)]
+pub struct FalloffColumns {
+    /// `[(a·dx)·dx, (2b)·dx]` per column, side by side so one bounds
+    /// check and one cache line serve both.
+    cols: Vec<[f32; 2]>,
+    /// The conic's `c`, for the per-row term.
+    c: f32,
+}
+
+impl FalloffColumns {
+    /// Fills the column table of `conic` for the pixel-centre offsets
+    /// `dxs` (column `j` of the box is the `j`-th offset).
+    pub fn fill(&mut self, conic: Sym2, dxs: impl IntoIterator<Item = f32>) {
+        let tb = 2.0 * conic.b;
+        self.cols.clear();
+        for dx in dxs {
+            self.cols.push([conic.a * dx * dx, tb * dx]);
+        }
+        self.c = conic.c;
+    }
+
+    /// The row at vertical offset `dy` from the splat mean.
+    #[inline]
+    pub fn row(&self, dy: f32) -> FalloffRow<'_> {
+        FalloffRow {
+            cols: &self.cols,
+            dy,
+            cyy: (self.c * dy) * dy,
+        }
+    }
+
+    /// Grows the table to at least `peer`'s capacity.
+    pub fn reserve_like(&mut self, peer: &FalloffColumns) {
+        self.cols
+            .reserve_exact(peer.cols.capacity().saturating_sub(self.cols.len()));
+    }
+}
+
+/// One row of a [`FalloffColumns`] box.
 #[derive(Copy, Clone, Debug)]
-pub struct RowFalloff {
-    a: f32,
-    tb: f32,
+pub struct FalloffRow<'a> {
+    cols: &'a [[f32; 2]],
     dy: f32,
     cyy: f32,
 }
 
-impl RowFalloff {
-    /// Prepares a row at vertical offset `dy` from the splat mean.
-    pub fn new(conic: Sym2, dy: f32) -> RowFalloff {
-        RowFalloff {
-            a: conic.a,
-            tb: 2.0 * conic.b,
-            dy,
-            cyy: (conic.c * dy) * dy,
-        }
-    }
-
-    /// `falloff_power(conic, Vec2::new(dx, self.dy))`, bit-identically.
+impl FalloffRow<'_> {
+    /// `falloff_power(conic, Vec2::new(dx_j, dy))` for column `j`,
+    /// bit-identically.
     #[inline(always)]
-    pub fn power_at(self, dx: f32) -> f32 {
-        -0.5 * (self.a * dx * dx + self.tb * dx * self.dy + self.cyy)
+    pub fn power_at(self, j: usize) -> f32 {
+        let [adx2, tbdx] = self.cols[j];
+        -0.5 * (adx2 + tbdx * self.dy + self.cyy)
     }
 }
 
@@ -387,29 +472,32 @@ mod tests {
     }
 
     #[test]
-    fn row_falloff_is_bit_identical_to_scalar() {
-        // The hoisted row evaluation must reproduce the scalar falloff to
-        // the last bit — this is what lets the lane-wise blender keep
-        // byte-identical images.
+    fn column_falloff_is_bit_identical_to_scalar() {
+        // The column/row-hoisted evaluation must reproduce the scalar
+        // falloff to the last bit over a grid of offsets — this is what
+        // lets the lane-wise blenders keep byte-identical images.
         let conics = [
             Sym2::new(0.5, 0.0, 0.5),
             Sym2::new(1.7, -0.3, 0.9),
             Sym2::new(0.02, 0.013, 3.5),
             Sym2::new(123.0, 45.0, 67.0),
+            Sym2::new(3.0e-4, -2.5e-4, 7.5e-4),
         ];
+        let dxs: Vec<f32> = (-9..=9).map(|ix| ix as f32 * 1.21 + 0.5).collect();
+        let mut cols = FalloffColumns::default();
         for conic in conics {
+            cols.fill(conic, dxs.iter().copied());
             for iy in -7..=7 {
                 let dy = iy as f32 * 0.83 + 0.5;
-                let row = RowFalloff::new(conic, dy);
-                for ix in -9..=9 {
-                    let dx = ix as f32 * 1.21 + 0.5;
+                let row = cols.row(dy);
+                for (j, &dx) in dxs.iter().enumerate() {
                     let d = Vec2::new(dx, dy);
                     let scalar = falloff_power(conic, d);
-                    let hoisted = row.power_at(dx);
+                    let hoisted = row.power_at(j);
                     assert_eq!(
                         scalar.to_bits(),
                         hoisted.to_bits(),
-                        "row-hoisted power diverged at d={d:?} conic={conic:?}"
+                        "column-hoisted power diverged at d={d:?} conic={conic:?}"
                     );
                     assert_eq!(
                         falloff(conic, d).to_bits(),

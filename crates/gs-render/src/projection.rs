@@ -14,7 +14,7 @@
 use crate::pool::WorkerPool;
 use crate::{ALPHA_EPS, TILE_SIZE};
 use gs_core::camera::Camera;
-use gs_core::ewa::project_gaussian;
+use gs_core::ewa::Projector;
 use gs_core::sym::Sym2;
 use gs_core::vec::{Vec2, Vec3};
 use gs_scene::Gaussian;
@@ -201,8 +201,9 @@ pub fn project_splats_parallel(
 fn project_each(cloud: &[Gaussian], cam: &Camera, sh_degree: u8, mut emit: impl FnMut(u32, Splat)) {
     let (tiles_x, tiles_y) = tile_grid(cam.width(), cam.height());
     let cam_center = cam.pose.center();
+    let projector = Projector::new(cam);
     for (i, g) in cloud.iter().enumerate() {
-        let Some(proj) = project_gaussian(cam, g.pos, g.cov3d()) else {
+        let Some(proj) = projector.full(g.pos, g.cov3d()) else {
             continue;
         };
         if proj.radius_px <= 0.0 {

@@ -11,6 +11,7 @@
 use crate::binning::TileKey;
 use crate::projection::Splat;
 use crate::{ALPHA_EPS, ALPHA_MAX, TILE_SIZE, TRANSMITTANCE_EPS};
+use gs_core::ewa::FalloffColumns;
 use gs_core::vec::Vec3;
 
 /// Per-tile rasterization counters.
@@ -31,14 +32,17 @@ pub struct TileOutcome {
     pub consumed_entries: u64,
 }
 
-/// Reusable per-tile blend state (transmittance + early-termination flags),
-/// owned by the frame arena so steady-state rendering allocates nothing.
+/// Reusable per-tile blend state (transmittance + early-termination flags,
+/// plus the current splat's falloff column tables), owned by the frame
+/// arena so steady-state rendering allocates nothing.
 #[derive(Clone, Debug)]
 pub struct TileScratch {
     /// Per-pixel remaining transmittance.
     pub transmittance: Vec<f32>,
     /// Per-pixel "saturated or off-screen" flag.
     pub done: Vec<bool>,
+    /// The current splat's per-column falloff terms.
+    pub cols: FalloffColumns,
 }
 
 impl Default for TileScratch {
@@ -47,6 +51,7 @@ impl Default for TileScratch {
         TileScratch {
             transmittance: vec![1.0; n],
             done: vec![false; n],
+            cols: FalloffColumns::default(),
         }
     }
 }
@@ -93,6 +98,7 @@ pub fn rasterize_tile(
     // Per-pixel transmittance; colour accumulates in `out`.
     let transmittance = &mut scratch.transmittance[..];
     let done = &mut scratch.done[..];
+    let cols = &mut scratch.cols;
     transmittance.fill(1.0);
     done.fill(false);
     let mut live = (width.saturating_sub(origin.0)).min(TILE_SIZE) as u64
@@ -132,17 +138,21 @@ pub fn rasterize_tile(
         // `exp` can be skipped while the `skipped` counter still advances
         // exactly as the evaluate-then-compare path would.
         let cull = gs_core::ewa::cull_power_threshold(s.opacity, ALPHA_EPS);
+        let (lx0, lx1) = (lx0 as usize, lx1 as usize);
+        cols.fill(
+            s.conic,
+            (lx0..=lx1).map(|lx| (origin.0 + lx as u32) as f32 + 0.5 - s.mean_px.x),
+        );
         for ly in ly0 as usize..=ly1 as usize {
             let row = ly * n;
             let py = (origin.1 + ly as u32) as f32 + 0.5;
-            let rowf = gs_core::ewa::RowFalloff::new(s.conic, py - s.mean_px.y);
-            for lx in lx0 as usize..=lx1 as usize {
+            let rowf = cols.row(py - s.mean_px.y);
+            for lx in lx0..=lx1 {
                 let pi = row + lx;
                 if done[pi] {
                     continue;
                 }
-                let px = (origin.0 + lx as u32) as f32 + 0.5;
-                let power = rowf.power_at(px - s.mean_px.x);
+                let power = rowf.power_at(lx - lx0);
                 if power < cull {
                     outcome.skipped += 1;
                     continue;

@@ -14,7 +14,7 @@
 //! the test suite.
 
 use gs_core::camera::Camera;
-use gs_core::ewa::{covariance3d, project_gaussian_full, ProjectionFull};
+use gs_core::ewa::{covariance3d, ProjectionFull, Projector};
 use gs_core::image::ImageRgb;
 use gs_core::mat::Mat3;
 use gs_core::sh;
@@ -154,8 +154,9 @@ pub fn render_with_gradients(
     // ---- projection with caches -----------------------------------------
     let mut splats: Vec<Splat> = Vec::new();
     let mut caches: Vec<ProjCache> = Vec::new();
+    let projector = Projector::new(cam);
     for (gi, g) in cloud.iter().enumerate() {
-        let Some(proj) = project_gaussian_full(cam, g.pos, covariance3d(g.scale, g.rot)) else {
+        let Some(proj) = projector.full(g.pos, covariance3d(g.scale, g.rot)) else {
             continue;
         };
         let Some(tile_rect) = tile_rect_of(proj.mean_px, proj.radius_px, tiles_x, tiles_y) else {

@@ -6,7 +6,7 @@
 //! Gaussians whose exact footprint overlaps the tile (paper Sec. III-B).
 
 use gs_core::camera::Camera;
-use gs_core::ewa::{project_coarse, project_gaussian};
+use gs_core::ewa::Projector;
 use gs_core::sym::Sym2;
 use gs_core::vec::{Vec2, Vec3};
 use gs_scene::Gaussian;
@@ -94,23 +94,10 @@ pub struct CoarsePass {
 }
 
 /// Coarse filter: 4 parameters only. `None` = culled.
+///
+/// One-shot form of [`FilterCamera::coarse_test`].
 pub fn coarse_test(cam: &Camera, pos: Vec3, s_max: f32, rect: &TileRect) -> Option<CoarsePass> {
-    let p = project_coarse(cam, pos, s_max)?;
-    // Corrupted inputs (a blind-read page with flipped bits decodes to
-    // arbitrary floats) must not leak a NaN/∞ disc downstream; finite
-    // projections — every uncorrupted Gaussian — are unaffected.
-    if !(p.mean_px.x.is_finite() && p.mean_px.y.is_finite() && p.radius_px.is_finite()) {
-        return None;
-    }
-    if rect.overlaps_disc(p.mean_px, p.radius_px) {
-        Some(CoarsePass {
-            mean_px: p.mean_px,
-            radius_px: p.radius_px,
-            depth: p.depth,
-        })
-    } else {
-        None
-    }
+    FilterCamera::new(cam).coarse_test(pos, s_max, rect)
 }
 
 /// Phase-2 result: everything the sorter/renderer needs for one Gaussian.
@@ -131,54 +118,110 @@ pub struct FineSplat {
 }
 
 /// Fine filter: full parameters, precise projection + exact tile test.
-/// `None` = culled (the coarse disc overlapped but the true ellipse does
-/// not, e.g. Gaussian 3 in paper Fig. 5).
+/// `None` = culled (see [`FilterCamera::fine_test`]).
 ///
-/// The intersection test uses the projected ellipse's per-axis 3σ extents
-/// (`3·√Σxx`, `3·√Σyy`) — strictly tighter than the coarse disc of radius
-/// `3·√λmax`, which is what makes the second filtering phase worthwhile.
+/// One-shot form of [`FilterCamera::fine_test`].
 pub fn fine_test(cam: &Camera, g: &Gaussian, rect: &TileRect, sh_degree: u8) -> Option<FineSplat> {
-    let p = project_gaussian(cam, g.pos, g.cov3d())?;
-    let rx = 3.0 * p.cov2d.a.max(0.0).sqrt();
-    let ry = 3.0 * p.cov2d.c.max(0.0).sqrt();
-    // Half-open rect: the left/top edges are inclusive (`+ext < x0` culls),
-    // the right/bottom edges exclusive (`-ext >= x1` culls). The seed used
-    // `> rect.x1`, so a splat touching only the excluded right/bottom edge
-    // passed the fine filter while `overlaps_disc` (closed at the time)
-    // agreed — both now share the half-open contract.
-    if p.mean_px.x + rx < rect.x0
-        || p.mean_px.x - rx >= rect.x1
-        || p.mean_px.y + ry < rect.y0
-        || p.mean_px.y - ry >= rect.y1
-    {
-        return None;
+    FilterCamera::new(cam).fine_test(g, rect, sh_degree)
+}
+
+/// The per-camera constants of both filter phases — the projection's
+/// Jacobian clamp ([`Projector`]) and the camera centre the fine phase's
+/// view direction starts from — computed once per frame instead of once
+/// per Gaussian. The free [`coarse_test`]/[`fine_test`] build one per
+/// call.
+#[derive(Copy, Clone, Debug)]
+pub struct FilterCamera {
+    proj: Projector,
+    center: Vec3,
+}
+
+impl FilterCamera {
+    /// Derives `cam`'s filter constants.
+    pub fn new(cam: &Camera) -> FilterCamera {
+        FilterCamera {
+            proj: Projector::new(cam),
+            center: cam.pose.center(),
+        }
     }
-    // Non-finite geometry, opacity or colour (possible only from corrupted
-    // or degraded records) would poison every pixel it blends into — NaN
-    // compares false against the alpha/saturation thresholds. Cull here;
-    // finite splats are untouched.
-    if !(p.mean_px.x.is_finite()
-        && p.mean_px.y.is_finite()
-        && rx.is_finite()
-        && ry.is_finite()
-        && p.depth.is_finite()
-        && g.opacity.is_finite())
-    {
-        return None;
+
+    /// The camera these constants belong to.
+    pub fn camera(&self) -> &Camera {
+        self.proj.camera()
     }
-    let dir = (g.pos - cam.pose.center()).normalized();
-    let color = gs_core::sh::eval_color(&g.sh, dir, sh_degree);
-    if !(color.x.is_finite() && color.y.is_finite() && color.z.is_finite()) {
-        return None;
+
+    /// Coarse filter: 4 parameters only. `None` = culled.
+    pub fn coarse_test(&self, pos: Vec3, s_max: f32, rect: &TileRect) -> Option<CoarsePass> {
+        let p = self.proj.coarse(pos, s_max)?;
+        // Corrupted inputs (a blind-read page with flipped bits decodes to
+        // arbitrary floats) must not leak a NaN/∞ disc downstream; finite
+        // projections — every uncorrupted Gaussian — are unaffected.
+        if !(p.mean_px.x.is_finite() && p.mean_px.y.is_finite() && p.radius_px.is_finite()) {
+            return None;
+        }
+        if rect.overlaps_disc(p.mean_px, p.radius_px) {
+            Some(CoarsePass {
+                mean_px: p.mean_px,
+                radius_px: p.radius_px,
+                depth: p.depth,
+            })
+        } else {
+            None
+        }
     }
-    Some(FineSplat {
-        mean_px: p.mean_px,
-        conic: p.conic,
-        color,
-        opacity: g.opacity,
-        depth: p.depth,
-        radius_px: p.radius_px,
-    })
+
+    /// Fine filter: full parameters, precise projection + exact tile test.
+    /// `None` = culled (the coarse disc overlapped but the true ellipse
+    /// does not, e.g. Gaussian 3 in paper Fig. 5).
+    ///
+    /// The intersection test uses the projected ellipse's per-axis 3σ
+    /// extents (`3·√Σxx`, `3·√Σyy`) — strictly tighter than the coarse disc
+    /// of radius `3·√λmax`, which is what makes the second filtering phase
+    /// worthwhile.
+    pub fn fine_test(&self, g: &Gaussian, rect: &TileRect, sh_degree: u8) -> Option<FineSplat> {
+        let p = self.proj.full(g.pos, g.cov3d())?;
+        let rx = 3.0 * p.cov2d.a.max(0.0).sqrt();
+        let ry = 3.0 * p.cov2d.c.max(0.0).sqrt();
+        // Half-open rect: the left/top edges are inclusive (`+ext < x0`
+        // culls), the right/bottom edges exclusive (`-ext >= x1` culls).
+        // The seed used `> rect.x1`, so a splat touching only the excluded
+        // right/bottom edge passed the fine filter while `overlaps_disc`
+        // (closed at the time) agreed — both now share the half-open
+        // contract.
+        if p.mean_px.x + rx < rect.x0
+            || p.mean_px.x - rx >= rect.x1
+            || p.mean_px.y + ry < rect.y0
+            || p.mean_px.y - ry >= rect.y1
+        {
+            return None;
+        }
+        // Non-finite geometry, opacity or colour (possible only from
+        // corrupted or degraded records) would poison every pixel it blends
+        // into — NaN compares false against the alpha/saturation
+        // thresholds. Cull here; finite splats are untouched.
+        if !(p.mean_px.x.is_finite()
+            && p.mean_px.y.is_finite()
+            && rx.is_finite()
+            && ry.is_finite()
+            && p.depth.is_finite()
+            && g.opacity.is_finite())
+        {
+            return None;
+        }
+        let dir = (g.pos - self.center).normalized();
+        let color = gs_core::sh::eval_color(&g.sh, dir, sh_degree);
+        if !(color.x.is_finite() && color.y.is_finite() && color.z.is_finite()) {
+            return None;
+        }
+        Some(FineSplat {
+            mean_px: p.mean_px,
+            conic: p.conic,
+            color,
+            opacity: g.opacity,
+            depth: p.depth,
+            radius_px: p.radius_px,
+        })
+    }
 }
 
 #[cfg(test)]

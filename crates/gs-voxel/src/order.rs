@@ -16,6 +16,16 @@
 //! CSR-style list, duplicate emissions are caught by an `emitted` bitmap,
 //! and every buffer (including the ready heap) keeps its capacity across
 //! calls — steady-state ordering performs **zero allocations**.
+//!
+//! Neighbouring rays of a group mostly cross the same voxel list, so the
+//! raw consecutive pairs are overwhelmingly repeats (thousands of pairs
+//! per group for a few dozen unique edges). Repeats are dropped before
+//! the sort: a ray whose list equals the previous ray's is skipped, and a
+//! node's edge to the successor it last pushed is not pushed again. The
+//! sort+dedup then removes what is left. Kahn's output depends only on the
+//! node set, the edge set and the `(depth, id)` keys — none of which
+//! these skips change — so the order and every [`OrderStats`] counter are
+//! those of the plain pairwise collection.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -61,6 +71,10 @@ pub struct OrderScratch {
     ids: Vec<u32>,
     /// Local index → depth key bits (see `depth_key`).
     depth: Vec<u32>,
+    /// Local index → the successor of its last pushed edge (`u32::MAX`
+    /// before the first), so a run of rays repeating an edge pushes it
+    /// once.
+    last_succ: Vec<u32>,
     /// Local index → remaining in-degree during Kahn's algorithm.
     in_degree: Vec<u32>,
     /// Unique DAG edges as local `(from, to)` pairs, sorted; doubles as the
@@ -97,6 +111,7 @@ impl OrderScratch {
         self.local[slot] = l;
         self.ids.push(id);
         self.depth.push(depth_key(id));
+        self.last_succ.push(u32::MAX);
         l
     }
 
@@ -110,6 +125,7 @@ impl OrderScratch {
         }
         self.ids.clear();
         self.depth.clear();
+        self.last_succ.clear();
         self.edges.clear();
         self.ready.clear();
     }
@@ -121,6 +137,7 @@ impl OrderScratch {
         reserve_to(&mut self.stamp, peer.stamp.capacity());
         reserve_to(&mut self.ids, peer.ids.capacity());
         reserve_to(&mut self.depth, peer.depth.capacity());
+        reserve_to(&mut self.last_succ, peer.last_succ.capacity());
         reserve_to(&mut self.in_degree, peer.in_degree.capacity());
         reserve_to(&mut self.edges, peer.edges.capacity());
         reserve_to(&mut self.adj_off, peer.adj_off.capacity());
@@ -189,23 +206,36 @@ where
     out.clear();
     scratch.begin();
 
-    // Collect nodes and raw edges (consecutive pairs per ray).
+    // Collect nodes and edges (consecutive pairs per ray). Neighbouring
+    // rays mostly cross the same voxels, so most candidate edges repeat:
+    // a ray equal to the previous one adds nothing and is skipped whole,
+    // and an edge equal to its source's last pushed edge is not pushed
+    // again. Both only drop duplicates, so the edge *set* is unchanged.
+    let mut prev_ray: Option<I::Item> = None;
     for list in ray_lists {
+        if prev_ray
+            .as_ref()
+            .is_some_and(|p| p.as_ref() == list.as_ref())
+        {
+            continue;
+        }
         let mut prev: Option<u32> = None;
         for &v in list.as_ref() {
             let l = scratch.intern(v, |id| depth_key(depth_of(id)));
             if let Some(p) = prev {
-                if p != l {
+                if p != l && scratch.last_succ[p as usize] != l {
+                    scratch.last_succ[p as usize] = l;
                     scratch.edges.push((p, l));
                 }
             }
             prev = Some(l);
         }
+        prev_ray = Some(list);
     }
     let n = scratch.ids.len();
 
-    // Deduplicate edges in place; sorted edges are CSR-ready (a node's
-    // successors form one contiguous run).
+    // Deduplicate the remaining repeats in place; sorted edges are
+    // CSR-ready (a node's successors form one contiguous run).
     scratch.edges.sort_unstable();
     scratch.edges.dedup();
     let edges = scratch.edges.len() as u32;

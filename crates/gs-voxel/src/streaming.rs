@@ -13,13 +13,18 @@
 //! The steady-state group loop touches no hash map, no byte-per-pixel
 //! mask, and performs no allocation:
 //!
-//! * the voxel → pixel map is an epoch-stamped dense-id remap feeding a
-//!   two-pass counting-sort CSR built straight from the ray lists
-//!   (`VoxelPixelCsr`, the [`crate::order::OrderScratch`] trick);
-//! * the per-voxel ray mask and the blender's saturation set are packed
-//!   `u64` bitset words, so the "any live pixel?" test is
-//!   `mask & !done != 0` per word and stride dilation is a precomputed
-//!   per-pixel span table (`MaskScratch`) instead of a stride² loop;
+//! * every crossed voxel's ray mask is built in one pass over the ray
+//!   lists: an epoch-stamped dense-id remap (the
+//!   [`crate::order::OrderScratch`] trick) gives each voxel a packed
+//!   `u64` bitset, and each ray ORs its pixel's precomputed stride-dilation
+//!   spans into the masks of the voxels it crosses (`VoxelMasks`);
+//! * the voxel masks and the blender's saturation set are packed `u64`
+//!   bitset words, so the "any live pixel?" test is `mask & !done != 0`
+//!   per word;
+//! * per-camera projection constants (`FilterCamera`) are derived once
+//!   per frame, and the blender fills each splat's falloff column table
+//!   once ([`gs_core::ewa::FalloffColumns`]) — both cache identical float
+//!   subtrees, so no output bit moves;
 //! * groups are claimed dynamically by the workers of the shared
 //!   [`gs_render::pool::WorkerPool`] (`run_claimed`, one job per worker
 //!   up to one per group; a single job renders inline without a pool):
@@ -60,7 +65,7 @@
 // mod-level allow).
 
 use crate::dda::traverse_append;
-use crate::filter::{coarse_test, fine_test, FineSplat, TileRect};
+use crate::filter::{FilterCamera, FineSplat, TileRect};
 use crate::grid::VoxelGrid;
 use crate::order::{reserve_to, topological_order_into, OrderScratch};
 use crate::store::{
@@ -68,6 +73,7 @@ use crate::store::{
 };
 use crate::workload::{FrameWorkload, TileWorkload};
 use gs_core::camera::Camera;
+use gs_core::ewa::FalloffColumns;
 use gs_core::image::ImageRgb;
 use gs_core::vec::Vec3;
 use gs_mem::cache::{AccessOutcome, CacheConfig, CacheReport, CacheStats, WorkingSetCache};
@@ -883,6 +889,9 @@ impl StreamingScene {
             None
         };
 
+        // The filters' per-camera constants, derived once per frame.
+        let view = FilterCamera::new(cam);
+
         // Group t renders into its own output slot `groups[t]` (pixels,
         // workload, ledger, trace, ...), which the serial passes below
         // read in group order. One job runs every group on the calling
@@ -890,7 +899,7 @@ impl StreamingScene {
         // the pool, each with its own working scratch.
         let render_group = |scratch: &mut WorkerScratch, t: usize, slot: &mut GroupOut| {
             let (gx, gy) = (t as u32 % groups_x, t as u32 / groups_x);
-            self.render_group_into(cam, gx, gy, width, height, tmap, scratch, slot);
+            self.render_group_into(&view, gx, gy, width, height, tmap, scratch, slot);
         };
         let groups = &mut groups[..n_groups];
         if jobs == 1 {
@@ -1187,7 +1196,7 @@ impl StreamingScene {
     #[allow(clippy::too_many_arguments)]
     fn render_group_into(
         &self,
-        cam: &Camera,
+        view: &FilterCamera,
         gx: u32,
         gy: u32,
         width: u32,
@@ -1196,15 +1205,15 @@ impl StreamingScene {
         scratch: &mut WorkerScratch,
         out: &mut GroupOut,
     ) {
+        let cam = view.camera();
         let gsz = self.config.group_size;
         let rect = TileRect::of_tile(gx, gy, gsz, width, height);
         let mut w = TileWorkload::default();
         let WorkerScratch {
             rays,
-            csr,
+            masks,
             order,
             order_out,
-            mask,
             survivors,
             splats,
             blend,
@@ -1251,9 +1260,9 @@ impl StreamingScene {
         }
         w.rays = nx * ny;
 
-        // voxel → pixel lists as a counting-sort CSR over epoch-remapped
-        // dense voxel ids (replaces the seed's per-group hash map).
-        csr.build(rays, nx, stride, gsz);
+        // Each crossed voxel's ray mask, built in one pass over the ray
+        // lists (replaces the seed's per-group voxel → pixel hash map).
+        masks.build(rays, nx, stride, gsz);
 
         let order_stats = topological_order_into(
             rays.ray_slices(),
@@ -1268,7 +1277,6 @@ impl StreamingScene {
 
         // --- per-voxel streaming ------------------------------------------
         blend.reset(rect, gsz, self.config.voxel_size);
-        mask.prepare(gsz, stride);
         for &vid in order_out.iter() {
             if blend.live == 0 {
                 break; // every pixel saturated: stop streaming voxels
@@ -1277,14 +1285,10 @@ impl StreamingScene {
             // (dilated to cover strided sampling). The mask gates the
             // early fetch-skip and the *violation metric* — splats still
             // blend into every covered pixel of the group, as the paper's
-            // render array does. Dilation ORs each pixel's precomputed
-            // word spans; the live test is one `mask & !done` pass over
-            // the packed words instead of a byte-per-pixel scan.
-            mask.begin_voxel();
-            for &pi in csr.pixels_of(vid) {
-                mask.cover(pi);
-            }
-            if !mask.any_live(&blend.done_words) {
+            // render array does. The live test is one `mask & !done` pass
+            // over the packed words instead of a byte-per-pixel scan.
+            let mask = masks.mask_of(vid);
+            if !blend.any_live(mask) {
                 continue;
             }
             let count = self.store.slots_of(vid).len() as u64;
@@ -1316,7 +1320,7 @@ impl StreamingScene {
             trace.push(TraceOp::Coarse(vid));
             if self.config.use_coarse_filter {
                 survivors.extend(column.filter_map(|(slot, pos, s_max)| {
-                    coarse_test(cam, pos, s_max, &rect).map(|_| slot)
+                    view.coarse_test(pos, s_max, &rect).map(|_| slot)
                 }));
             } else {
                 // No CGF: the whole record is streamed for every Gaussian.
@@ -1377,7 +1381,7 @@ impl StreamingScene {
                         }
                     }
                 };
-                if let Some(s) = fine_test(cam, &g, &rect, self.config.sh_degree) {
+                if let Some(s) = view.fine_test(&g, &rect, self.config.sh_degree) {
                     splats.push((self.store.id_of(slot), s));
                 }
             }
@@ -1393,7 +1397,7 @@ impl StreamingScene {
             // Blend into the whole group; violations are counted on the
             // masked (ray-intersecting) pixels only.
             for (gi, s) in splats.iter() {
-                let frag = blend.blend(s, &mask.words);
+                let frag = blend.blend(s, mask);
                 w.blend_lanes += frag.lanes;
                 w.blend_fragments += frag.blended;
                 if frag.violations > 0 {
@@ -1511,16 +1515,13 @@ enum TraceOp {
 struct WorkerScratch {
     /// The current group's DDA ray lists.
     rays: RayLists,
-    /// voxel → pixel-list CSR over epoch-remapped dense voxel ids
+    /// Per-voxel packed ray masks over epoch-remapped dense voxel ids
     /// (replaces the seed's `HashMap<u32, Vec<u32>>` + spare-list pool).
-    csr: VoxelPixelCsr,
+    masks: VoxelMasks,
     /// Reusable topological-ordering state (zero steady-state allocations).
     order: OrderScratch,
     /// The current group's voxel order (reused across groups).
     order_out: Vec<u32>,
-    /// Packed per-pixel ray-intersection mask of the current voxel, with
-    /// the precomputed stride-dilation span table.
-    mask: MaskScratch,
     /// Coarse-filter survivors of the current voxel.
     survivors: Vec<u32>,
     /// Fine-filter survivors (with projected splats) of the current voxel.
@@ -1538,11 +1539,12 @@ impl WorkerScratch {
     fn reserve_like(&mut self, peer: &WorkerScratch) {
         reserve_to(&mut self.rays.voxels, peer.rays.voxels.capacity());
         reserve_to(&mut self.rays.ends, peer.rays.ends.capacity());
-        self.csr.reserve_like(&peer.csr);
+        self.masks.reserve_like(&peer.masks);
         self.order.reserve_like(&peer.order);
         reserve_to(&mut self.order_out, peer.order_out.capacity());
         reserve_to(&mut self.survivors, peer.survivors.capacity());
         reserve_to(&mut self.splats, peer.splats.capacity());
+        self.blend.cols.0.reserve_like(&peer.blend.cols.0);
     }
 }
 
@@ -1593,142 +1595,97 @@ impl RayLists {
     }
 }
 
-/// The group's voxel → pixel-list map as a two-pass counting-sort CSR over
-/// epoch-remapped dense voxel ids (the [`OrderScratch`] trick): pass one
-/// interns voxel ids and counts incidences, a prefix sum sizes the lists,
-/// pass two scatters pixel indices in global ray order — so each voxel's
-/// pixel list is identical to what the seed's hash map accumulated, with
-/// no hashing, no per-voxel `Vec`s, and zero steady-state allocations.
+/// The group's per-voxel ray masks: for each voxel the group's rays cross,
+/// one packed `u64` bitset over the group's `gsz²` pixels holding every
+/// pixel whose ray crosses it, dilated to the stride×stride block a
+/// strided ray samples. One pass over the ray lists builds every mask:
+/// voxel ids are remapped to dense local indices through an
+/// epoch-stamped table (the [`OrderScratch`] trick), and each ray ORs its
+/// pixel's precomputed dilation spans into the masks of the voxels it
+/// crosses — no hashing, no per-voxel pixel lists, and zero steady-state
+/// allocations.
 #[derive(Debug, Default)]
-struct VoxelPixelCsr {
+struct VoxelMasks {
     /// Voxel id → dense local index; valid only when `stamp[id] == epoch`.
     local: Vec<u32>,
     /// Epoch stamp per voxel id slot.
     stamp: Vec<u32>,
     /// Current group's epoch.
     epoch: u32,
-    /// Per-local incidence counts (pass one).
-    counts: Vec<u32>,
-    /// CSR offsets into `pixels` (length `n_voxels + 1`).
-    off: Vec<u32>,
-    /// Scatter cursors (pass two).
-    cursor: Vec<u32>,
-    /// Concatenated per-voxel pixel indices, in ray order per voxel.
-    pixels: Vec<u32>,
-}
-
-impl VoxelPixelCsr {
-    /// Rebuilds the CSR from the group's ray lists. `nx`/`stride`/`gsz`
-    /// recover each ray's group-local pixel index from its ray index.
-    fn build(&mut self, rays: &RayLists, nx: u32, stride: u32, gsz: u32) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // u32 epoch wrapped: old stamps could alias. Reset once.
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-        self.counts.clear();
-        // Pass one: intern each voxel id on first sight, count incidences.
-        // (A ray visits a voxel at most once — convex cell walk — so every
-        // (ray, voxel) pair is one incidence, exactly like the seed's
-        // per-ray hash-map pushes.)
-        for &v in &rays.voxels {
-            let slot = v as usize;
-            if slot >= self.local.len() {
-                self.local.resize(slot + 1, 0);
-                self.stamp.resize(slot + 1, 0);
-            }
-            let l = if self.stamp[slot] == self.epoch {
-                self.local[slot]
-            } else {
-                let l = self.counts.len() as u32;
-                self.stamp[slot] = self.epoch;
-                self.local[slot] = l;
-                self.counts.push(0);
-                l
-            };
-            self.counts[l as usize] += 1;
-        }
-        // Prefix sum → offsets; cursors start at each list's offset.
-        self.off.clear();
-        self.off.push(0);
-        let mut acc = 0u32;
-        for &c in &self.counts {
-            acc += c;
-            self.off.push(acc);
-        }
-        self.cursor.clear();
-        self.cursor
-            .extend_from_slice(&self.off[..self.counts.len()]);
-        // Pass two: scatter pixel indices in ray order, so each voxel's
-        // list is sorted exactly like the seed's push order.
-        self.pixels.clear();
-        self.pixels.resize(rays.voxels.len(), 0);
-        for (r, voxels) in (0u32..).zip(rays.ray_slices()) {
-            let pix = (r / nx) * stride * gsz + (r % nx) * stride;
-            for &v in voxels {
-                let l = self.local[v as usize] as usize;
-                self.pixels[self.cursor[l] as usize] = pix;
-                self.cursor[l] += 1;
-            }
-        }
-    }
-
-    /// Grows every buffer to at least `peer`'s capacity, so this CSR can
-    /// map any group `peer` already mapped without allocating.
-    fn reserve_like(&mut self, peer: &VoxelPixelCsr) {
-        reserve_to(&mut self.local, peer.local.capacity());
-        reserve_to(&mut self.stamp, peer.stamp.capacity());
-        reserve_to(&mut self.counts, peer.counts.capacity());
-        reserve_to(&mut self.off, peer.off.capacity());
-        reserve_to(&mut self.cursor, peer.cursor.capacity());
-        reserve_to(&mut self.pixels, peer.pixels.capacity());
-    }
-
-    /// Group-local pixel indices whose rays intersect voxel `vid`.
-    fn pixels_of(&self, vid: u32) -> &[u32] {
-        debug_assert_eq!(
-            self.stamp[vid as usize], self.epoch,
-            "voxel {vid} was not interned by this group's rays"
-        );
-        let l = self.local[vid as usize] as usize;
-        &self.pixels[self.off[l] as usize..self.off[l + 1] as usize]
-    }
-}
-
-/// The current voxel's ray-pixel mask as packed `u64` words, plus the
-/// precomputed per-pixel dilation spans: pixel `p`'s span list ORs the
-/// whole clipped stride×stride block anchored at `p` into the words (one
-/// span per covered mask row segment — a single span at stride 1), so
-/// strided sampling costs O(stride) word ORs per pixel instead of the
-/// seed's stride² scalar stores, and the mask itself is `gsz²/64` words
-/// instead of `gsz²` bytes.
-#[derive(Debug, Default)]
-struct MaskScratch {
+    /// Mask words per voxel, `(gsz² + 63) / 64`.
+    words: usize,
+    /// Every crossed voxel's mask, `words` words per local index.
+    masks: Vec<u64>,
     /// Geometry the span table was built for (rebuilt only on change —
     /// never, in steady state).
     gsz: u32,
     stride: u32,
     /// Per-pixel span ranges into `spans` (length `gsz² + 1`).
     span_off: Vec<u32>,
-    /// `(word index, bits)` covering each pixel's dilated block.
+    /// `(word index, bits)` covering each pixel's dilated block: pixel
+    /// `p`'s spans OR the whole clipped stride×stride block anchored at
+    /// `p` (one span per covered mask row segment — a single span at
+    /// stride 1), so strided sampling costs O(stride) word ORs per ray
+    /// instead of the seed's stride² scalar stores.
     spans: Vec<(u32, u64)>,
-    /// The current voxel's mask words (`(gsz² + 63) / 64` of them).
-    words: Vec<u64>,
 }
 
-impl MaskScratch {
-    /// Builds (or keeps) the span table for this group geometry and sizes
-    /// the mask words.
+impl VoxelMasks {
+    /// Rebuilds every crossed voxel's mask from the group's ray lists.
+    /// `nx`/`stride`/`gsz` recover each ray's group-local pixel index from
+    /// its ray index.
+    fn build(&mut self, rays: &RayLists, nx: u32, stride: u32, gsz: u32) {
+        self.prepare(gsz, stride);
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // u32 epoch wrapped: old stamps could alias. Reset once.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        let VoxelMasks {
+            local,
+            stamp,
+            epoch,
+            words,
+            masks,
+            span_off,
+            spans,
+            ..
+        } = self;
+        let (epoch, words) = (*epoch, *words);
+        masks.clear();
+        for (r, voxels) in (0u32..).zip(rays.ray_slices()) {
+            let pix = ((r / nx) * stride * gsz + (r % nx) * stride) as usize;
+            let pix_spans = &spans[span_off[pix] as usize..span_off[pix + 1] as usize];
+            for &v in voxels {
+                let slot = v as usize;
+                if slot >= local.len() {
+                    local.resize(slot + 1, 0);
+                    stamp.resize(slot + 1, 0);
+                }
+                // Intern the voxel on first sight with an all-clear mask.
+                if stamp[slot] != epoch {
+                    stamp[slot] = epoch;
+                    local[slot] = (masks.len() / words) as u32;
+                    masks.resize(masks.len() + words, 0);
+                }
+                let base = local[slot] as usize * words;
+                let mask = &mut masks[base..base + words];
+                for &(w, bits) in pix_spans {
+                    mask[w as usize] |= bits;
+                }
+            }
+        }
+    }
+
+    /// Builds (or keeps) the dilation span table for this group geometry.
     fn prepare(&mut self, gsz: u32, stride: u32) {
         if self.gsz == gsz && self.stride == stride {
             return;
         }
         self.gsz = gsz;
         self.stride = stride;
-        let bits = gsz as usize * gsz as usize;
-        self.words.clear();
-        self.words.resize(bits.div_ceil(64), 0);
+        self.words = (gsz as usize * gsz as usize).div_ceil(64);
         self.span_off.clear();
         self.spans.clear();
         self.span_off.push(0);
@@ -1757,29 +1714,24 @@ impl MaskScratch {
         }
     }
 
-    /// Clears the mask for the next voxel.
-    #[inline]
-    fn begin_voxel(&mut self) {
-        self.words.fill(0);
+    /// Grows every buffer to at least `peer`'s capacity, so these masks
+    /// can cover any group `peer` already covered without allocating.
+    fn reserve_like(&mut self, peer: &VoxelMasks) {
+        reserve_to(&mut self.local, peer.local.capacity());
+        reserve_to(&mut self.stamp, peer.stamp.capacity());
+        reserve_to(&mut self.masks, peer.masks.capacity());
+        reserve_to(&mut self.span_off, peer.span_off.capacity());
+        reserve_to(&mut self.spans, peer.spans.capacity());
     }
 
-    /// ORs pixel `pi`'s dilated block into the mask.
-    #[inline]
-    fn cover(&mut self, pi: u32) {
-        let (s, e) = (
-            self.span_off[pi as usize] as usize,
-            self.span_off[pi as usize + 1] as usize,
+    /// Voxel `vid`'s packed pixel mask.
+    fn mask_of(&self, vid: u32) -> &[u64] {
+        debug_assert_eq!(
+            self.stamp[vid as usize], self.epoch,
+            "voxel {vid} was not crossed by this group's rays"
         );
-        for &(w, bits) in &self.spans[s..e] {
-            self.words[w as usize] |= bits;
-        }
-    }
-
-    /// `true` when any masked pixel is not yet done: one `mask & !done`
-    /// pass over the packed words (the seed scanned `gsz²` bytes).
-    #[inline]
-    fn any_live(&self, done_words: &[u64]) -> bool {
-        self.words.iter().zip(done_words).any(|(m, d)| m & !d != 0)
+        let base = self.local[vid as usize] as usize * self.words;
+        &self.masks[base..base + self.words]
     }
 }
 
@@ -1816,9 +1768,31 @@ struct GroupBlender {
     done_words: Vec<u64>,
     max_depth: Vec<f32>,
     live: u32,
+    /// The current splat's falloff column tables (working buffers only).
+    cols: ColumnScratch,
+}
+
+/// [`FalloffColumns`] as blender working state: refilled by every splat
+/// before it is read, so it carries nothing from one splat to the next
+/// and never distinguishes two blenders — every pair compares equal,
+/// which keeps it out of [`GroupBlender`]'s state comparison.
+#[derive(Debug, Default)]
+struct ColumnScratch(FalloffColumns);
+
+impl PartialEq for ColumnScratch {
+    fn eq(&self, _: &ColumnScratch) -> bool {
+        true
+    }
 }
 
 impl GroupBlender {
+    /// `true` when any pixel of `mask` is not yet done: one `mask & !done`
+    /// pass over the packed words (the seed scanned `gsz²` bytes).
+    #[inline]
+    fn any_live(&self, mask: &[u64]) -> bool {
+        mask.iter().zip(&self.done_words).any(|(m, d)| m & !d != 0)
+    }
+
     #[inline]
     fn set_done(&mut self, pi: usize) {
         self.done_words[pi >> 6] |= 1 << (pi & 63);
@@ -1855,10 +1829,10 @@ impl GroupBlender {
 
     /// Lane-wise production blend kernel: walks the row's `!done` words
     /// directly (iterating set bits instead of testing pixels one at a
-    /// time), hoists the conic's per-row subterms
-    /// ([`gs_core::ewa::RowFalloff`]), and skips the `exp` for pixels whose
-    /// falloff power is provably below the `alpha < ALPHA_EPS` cutoff
-    /// ([`gs_core::ewa::cull_power_threshold`]).
+    /// time), hoists the conic's per-column and per-row subterms
+    /// ([`FalloffColumns`], filled once per splat), and skips the `exp`
+    /// for pixels whose falloff power is provably below the
+    /// `alpha < ALPHA_EPS` cutoff ([`gs_core::ewa::cull_power_threshold`]).
     ///
     /// Byte-exactness vs the test-only `blend_reference`, the original
     /// pixel-at-a-time loop:
@@ -1871,7 +1845,7 @@ impl GroupBlender {
     ///   guards are separable per axis, so the count is the product of the
     ///   clamped per-axis ranges — computed arithmetically, not by loop.
     /// - The per-pixel alpha/violation/transmittance math is the original
-    ///   operation sequence: `RowFalloff::power_at` reproduces the scalar
+    ///   operation sequence: `FalloffRow::power_at` reproduces the scalar
     ///   `falloff` exponent bit-for-bit (hoisting caches identical
     ///   subtrees, never re-associates), and the exp-cull only skips
     ///   pixels the scalar path would have dropped at `alpha < ALPHA_EPS`
@@ -1905,9 +1879,14 @@ impl GroupBlender {
         out.lanes = (lx_hi - lx_lo + 1) as u64 * (ly_hi - ly_lo + 1) as u64;
 
         let cull = gs_core::ewa::cull_power_threshold(s.opacity, ALPHA_EPS);
+        let cols = &mut self.cols.0;
+        cols.fill(
+            s.conic,
+            (lx_lo..=lx_hi).map(|lx| (x0 + lx) as f32 + 0.5 - s.mean_px.x),
+        );
         for ly in ly_lo..=ly_hi {
             let dy = (y0 + ly) as f32 + 0.5 - s.mean_px.y;
-            let row = gs_core::ewa::RowFalloff::new(s.conic, dy);
+            let row = self.cols.0.row(dy);
             // Walk the set bits of `!done` within this row's lane range.
             let (row_lo, row_hi) = (
                 ly as usize * n + lx_lo as usize,
@@ -1924,8 +1903,7 @@ impl GroupBlender {
                 while live != 0 {
                     let pi = (wi << 6) + live.trailing_zeros() as usize;
                     live &= live - 1;
-                    let dx = (x0 + (pi - ly as usize * n) as i64) as f32 + 0.5 - s.mean_px.x;
-                    let power = row.power_at(dx);
+                    let power = row.power_at(pi - row_lo);
                     if power < cull {
                         // Guaranteed alpha < ALPHA_EPS: the reference loop
                         // skips this pixel after the exp — skip before it.
@@ -1947,7 +1925,9 @@ impl GroupBlender {
                     self.max_depth[pi] = self.max_depth[pi].max(s.depth);
                     out.blended += 1;
                     if self.transmittance[pi] < TRANSMITTANCE_EPS {
-                        self.set_done(pi);
+                        // `set_done`, field-wise: `row` still borrows
+                        // the column tables.
+                        self.done_words[pi >> 6] |= 1 << (pi & 63);
                         self.live -= 1;
                     }
                 }

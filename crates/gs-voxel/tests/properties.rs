@@ -8,7 +8,9 @@ use gs_core::geom::Ray;
 use gs_core::vec::Vec3;
 use gs_scene::{Gaussian, GaussianCloud};
 use gs_voxel::dda::traverse;
-use gs_voxel::order::{count_order_violations, topological_order};
+use gs_voxel::order::{
+    count_order_violations, topological_order, topological_order_into, OrderScratch,
+};
 use gs_voxel::{StreamingConfig, StreamingScene, VoxelGrid};
 use proptest::prelude::*;
 
@@ -196,5 +198,44 @@ proptest! {
         got.sort_unstable();
         got.dedup();
         prop_assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn duplicated_rays_leave_order_and_stats_unchanged(
+        lists in proptest::collection::vec(
+            proptest::collection::vec(0u32..30, 1..10), 1..8
+        ),
+        repeats in proptest::collection::vec(1usize..4, 8..9),
+        copies in proptest::collection::vec((0usize..8, 0usize..8), 0..6),
+    ) {
+        // Metamorphic: repeating a ray in place, or copying a ray to any
+        // later position, adds only voxels already seen and edges already
+        // present — the node set, the edge set and the depth keys stay the
+        // same, so the order and every counter must too.
+        let depth = |v: u32| (v % 7) as f32;
+        let mut scratch = OrderScratch::new();
+        let mut want = Vec::new();
+        let want_stats = topological_order_into(&lists, depth, &mut scratch, &mut want);
+
+        let n = lists.len();
+        let mut dup: Vec<Vec<u32>> = Vec::new();
+        for (i, list) in lists.iter().enumerate() {
+            for _ in 0..repeats[i] {
+                dup.push(list.clone());
+            }
+            for &(src, at) in &copies {
+                let src = src % n;
+                if src.max(at % n) == i {
+                    dup.push(lists[src].clone());
+                }
+            }
+        }
+        let mut got = Vec::new();
+        let got_stats = topological_order_into(&dup, depth, &mut scratch, &mut got);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(got_stats, want_stats);
+        // A fresh scratch agrees with the reused one.
+        let fresh = topological_order(&dup, depth);
+        prop_assert_eq!(&fresh.order, &want);
     }
 }

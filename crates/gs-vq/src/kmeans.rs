@@ -104,6 +104,19 @@ fn init_pp(data: &[f32], dim: usize, n: usize, k: usize, rng: &mut StdRng) -> Ve
     centroids
 }
 
+/// Centroids per block of [`assign`]'s transposed centroid table.
+const LANES: usize = 8;
+
+/// Assigns every point to its nearest centroid and returns the mean
+/// squared distance.
+///
+/// The centroids are transposed into blocks of [`LANES`]: block `b` holds
+/// coordinate `d` of centroids `8b..8b + 8` side by side, so one pass over
+/// a point's coordinates accumulates eight distances at once. Each lane
+/// sums `(x − c)²` in the same coordinate order as [`dist2`], and the
+/// argmin scans lanes in centroid order with the same strict `<`, so every
+/// distance, every assignment and the total are bit-identical to the
+/// one-centroid-at-a-time scan.
 fn assign(
     data: &[f32],
     dim: usize,
@@ -112,19 +125,36 @@ fn assign(
     k: usize,
     assignment: &mut [u32],
 ) -> f64 {
+    let block_len = dim * LANES;
+    let mut table = vec![0.0f32; k.div_ceil(LANES) * block_len];
+    for (c, centroid) in centroids[..k * dim].chunks_exact(dim).enumerate() {
+        let (b, lane) = (c / LANES, c % LANES);
+        for (d, &x) in centroid.iter().enumerate() {
+            table[b * block_len + d * LANES + lane] = x;
+        }
+    }
     let mut total = 0.0f64;
-    for i in 0..n {
-        let v = &data[i * dim..(i + 1) * dim];
+    for (v, slot) in data[..n * dim].chunks_exact(dim).zip(assignment.iter_mut()) {
         let mut best = 0usize;
         let mut best_d = f32::INFINITY;
-        for c in 0..k {
-            let d = dist2(v, &centroids[c * dim..(c + 1) * dim]);
-            if d < best_d {
-                best_d = d;
-                best = c;
+        for (b, block) in table.chunks_exact(block_len).enumerate() {
+            let mut acc = [0.0f32; LANES];
+            for (&x, coord) in v.iter().zip(block.chunks_exact(LANES)) {
+                for (a, &c) in acc.iter_mut().zip(coord) {
+                    let t = x - c;
+                    *a += t * t;
+                }
+            }
+            // The last block's padding lanes hold no centroid.
+            let lanes = (k - b * LANES).min(LANES);
+            for (lane, &d) in acc[..lanes].iter().enumerate() {
+                if d < best_d {
+                    best_d = d;
+                    best = b * LANES + lane;
+                }
             }
         }
-        assignment[i] = best as u32;
+        *slot = best as u32;
         total += best_d as f64;
     }
     total / n as f64
@@ -245,6 +275,31 @@ mod tests {
         let (i, d) = nearest(&centroids, 2, &[9.8, 10.1]);
         assert_eq!(i, 1);
         assert!(d < 0.1);
+    }
+
+    #[test]
+    fn blocked_assign_is_bit_identical_to_scalar_scan() {
+        // Every block shape (k below, at and past a block, with a ragged
+        // last block) and duplicated centroids (ties resolve to the lower
+        // index) must reproduce `nearest`'s one-centroid-at-a-time scan.
+        let mut rng = StdRng::seed_from_u64(21);
+        for (dim, k) in [(1, 1), (3, 7), (4, 8), (3, 9), (45, 23), (2, 40)] {
+            let n = 257;
+            let data: Vec<f32> = (0..n * dim).map(|_| rng.gen::<f32>() * 4.0 - 2.0).collect();
+            let mut centroids: Vec<f32> = data[..k * dim].to_vec();
+            if k > 2 {
+                centroids.copy_within(0..dim, (k - 1) * dim);
+            }
+            let mut assignment = vec![0u32; n];
+            let mean = assign(&data, dim, n, &centroids, k, &mut assignment);
+            let mut total = 0.0f64;
+            for (i, v) in data.chunks_exact(dim).enumerate() {
+                let (best, d) = nearest(&centroids, dim, v);
+                assert_eq!(assignment[i], best, "dim {dim} k {k} point {i}");
+                total += d as f64;
+            }
+            assert_eq!(mean.to_bits(), (total / n as f64).to_bits());
+        }
     }
 
     #[test]
