@@ -46,9 +46,7 @@ pub mod sym;
 pub mod vec;
 
 pub use camera::{Camera, Intrinsics, Pose};
-pub use ewa::{
-    covariance3d, project_coarse, project_gaussian, CoarseProjection, Projected, Projector,
-};
+pub use ewa::{covariance3d, project_coarse, project_gaussian, CoarseProjection, Projected};
 pub use geom::{Aabb, Ray};
 pub use image::ImageRgb;
 pub use mat::Mat3;
