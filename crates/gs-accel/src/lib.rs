@@ -39,5 +39,5 @@ pub mod scaling;
 pub use config::AccelConfig;
 pub use gpu::GpuModel;
 pub use gscore::GscoreModel;
-pub use pipeline::{StreamingGsModel, TierCost};
+pub use pipeline::StreamingGsModel;
 pub use report::PerfReport;

@@ -11,7 +11,7 @@ use crate::config::{AccelConfig, EnergyConfig};
 use crate::report::PerfReport;
 use gs_core::{COARSE_FILTER_MACS, FINE_FILTER_MACS};
 use gs_mem::dram::DramModel;
-use gs_mem::{EnergyBreakdown, TrafficLedger, MAX_TIERS};
+use gs_mem::{EnergyBreakdown, TrafficLedger};
 use gs_voxel::{FrameWorkload, TileWorkload};
 
 /// Per-fragment blend cost in MACs (conic eval, alpha, colour accumulate).
@@ -86,20 +86,6 @@ impl TileCycles {
     }
 }
 
-/// What one LOD tier's fine-record traffic cost in a frame, priced from
-/// the measured per-tier ledger lanes (index 0 = full quality, 1.. = the
-/// extra tiers of [`gs_voxel::StreamingConfig::tiers`]).
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
-pub struct TierCost {
-    /// Demand bytes the tier's fine fetches asked for.
-    pub demand_bytes: u64,
-    /// Burst-rounded DRAM transaction bytes the tier actually moved
-    /// (cache-miss fills only when the renderer's cache is enabled).
-    pub dram_bytes: u64,
-    /// Dynamic DRAM energy of those transactions, in pJ.
-    pub dram_pj: f64,
-}
-
 impl StreamingGsModel {
     /// Creates a model with a custom configuration.
     pub fn new(config: AccelConfig) -> StreamingGsModel {
@@ -126,16 +112,7 @@ impl StreamingGsModel {
         // The streaming stage moves DRAM *transactions*: burst-rounded,
         // and only cache misses when the renderer's working-set cache is
         // enabled (hits come from on-chip SRAM in the stage's shadow).
-        // Workloads that predate transaction accounting get the same
-        // per-tile synthesis `FrameWorkload::to_ledger` prices energy
-        // from, so one report never mixes two byte counts.
-        let fetch_bytes = if w.has_transaction_accounting() {
-            w.coarse_dram_bytes + w.fine_dram_bytes
-        } else {
-            let (coarse, fine, _) = w.synthesized_dram_bytes();
-            coarse + fine
-        };
-        let fetch = fetch_bytes as f64 / bytes_per_cycle;
+        let fetch = (w.coarse_dram_bytes + w.fine_dram_bytes) as f64 / bytes_per_cycle;
         let coarse = w.gaussians_streamed as f64 * c.cfu_ii / c.total_cfus() as f64;
         let fine = w.coarse_survivors as f64 * c.ffu_ii / c.total_ffus() as f64;
         let sort = w.fine_survivors as f64 / (c.sorter_elems_per_cycle * c.n_sorters as f64);
@@ -169,10 +146,10 @@ impl StreamingGsModel {
     /// DRAM is priced from the ledger's **transaction** counters: each
     /// transfer burst-rounded at the metering site, and only cache-miss
     /// fills when the renderer's working-set cache is enabled (a 13 B VQ
-    /// index record really costs a whole 32 B burst; pre-PR-4 this priced
-    /// raw demand bytes and understated every sub-burst transfer).
-    /// Cache-hit bytes are priced as SRAM traffic. Legacy ledgers without
-    /// transaction accounting fall back to demand bytes.
+    /// index record really costs a whole 32 B burst). Cache-hit bytes are
+    /// priced as SRAM traffic. The ledger must carry the same demand,
+    /// DRAM and hit bytes as the workload, whose DRAM fields price the
+    /// per-tile fetch term, so one report never mixes two byte counts.
     pub fn evaluate_measured(&self, frame: &FrameWorkload, ledger: &TrafficLedger) -> PerfReport {
         let mut cycles = 0.0f64;
         for t in &frame.tiles {
@@ -187,11 +164,17 @@ impl StreamingGsModel {
             totals.dram_bytes(),
             "ledger and workload demand counters diverged"
         );
-        let dram_bytes = if ledger.has_dram_accounting() {
-            ledger.dram_total()
-        } else {
-            ledger.total()
-        };
+        debug_assert_eq!(
+            ledger.dram_total(),
+            totals.dram_transaction_bytes(),
+            "ledger and workload DRAM counters diverged"
+        );
+        debug_assert_eq!(
+            ledger.hit_total(),
+            totals.cache_hit_bytes(),
+            "ledger and workload cache-hit counters diverged"
+        );
+        let dram_bytes = ledger.dram_total();
         let macs = totals.gaussians_streamed * COARSE_FILTER_MACS
             + totals.coarse_survivors * FINE_FILTER_MACS
             + totals.blend_lanes * BLEND_MACS
@@ -217,52 +200,38 @@ impl StreamingGsModel {
             energy,
         }
     }
-
-    /// Prices each LOD tier's fine-record traffic from a measured frame
-    /// ledger: demand bytes, DRAM transaction bytes, and the dynamic DRAM
-    /// energy of those transactions. The lanes sum to the ledger's fine
-    /// traffic, so the per-tier energies are an exact decomposition of the
-    /// fine-stage share of [`Self::evaluate_measured`]'s DRAM energy.
-    /// Ledgers without transaction accounting price demand bytes (the same
-    /// fallback `evaluate_measured` uses).
-    pub fn price_tiers(&self, ledger: &TrafficLedger) -> [TierCost; MAX_TIERS] {
-        let demand = ledger.tier_demand_all();
-        let dram = if ledger.has_dram_accounting() {
-            ledger.tier_dram_all()
-        } else {
-            demand
-        };
-        let mut costs = [TierCost::default(); MAX_TIERS];
-        for t in 0..MAX_TIERS {
-            costs[t] = TierCost {
-                demand_bytes: demand[t],
-                dram_bytes: dram[t],
-                dram_pj: self.dram.dynamic_pj(dram[t]),
-            };
-        }
-        costs
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gs_mem::dram::{round_to_burst, DEFAULT_BURST_BYTES};
 
+    /// A hand-built uncached tile. Its DRAM bytes are burst-rounded per
+    /// transfer, the way the renderer meters them: one coarse block per
+    /// processed voxel (the coarse demand split evenly), one 13 B record
+    /// per coarse survivor and one pixel writeback.
     fn tile(streamed: u64, survivors: u64) -> TileWorkload {
+        const VOXELS: u64 = 18;
+        let burst = |bytes: u64| round_to_burst(bytes, DEFAULT_BURST_BYTES);
+        let coarse_bytes = streamed * 16;
         TileWorkload {
             rays: 256,
             dda_steps: 4_000,
             voxels_intersected: 20,
             dag_edges: 30,
-            voxels_processed: 18,
+            voxels_processed: VOXELS as u32,
             gaussians_streamed: streamed,
             coarse_survivors: survivors,
             fine_survivors: survivors / 2,
             blend_lanes: survivors * 40,
             blend_fragments: survivors * 25,
-            coarse_bytes: streamed * 16,
+            coarse_bytes,
             fine_bytes: survivors * 13,
             pixel_bytes: 4096,
+            coarse_dram_bytes: VOXELS * burst(coarse_bytes.div_ceil(VOXELS)),
+            fine_dram_bytes: survivors * burst(13),
+            pixel_dram_bytes: burst(4096),
             ..Default::default()
         }
     }
@@ -275,40 +244,6 @@ mod tests {
             scene_voxels: 100,
             scene_gaussians: 10_000,
         }
-    }
-
-    #[test]
-    fn tier_pricing_decomposes_measured_fine_traffic() {
-        use gs_mem::{Direction, Stage};
-        let m = StreamingGsModel::default();
-        let mut l = TrafficLedger::new();
-        l.add_transfer(Stage::VoxelFine, Direction::Read, 1500, 32);
-        l.note_tier(0, 1000);
-        l.note_tier(2, 500);
-        l.note_tier_dram(0, 992);
-        l.note_tier_dram(2, 512);
-        let costs = m.price_tiers(&l);
-        assert_eq!(costs[0].demand_bytes, 1000);
-        assert_eq!(costs[0].dram_bytes, 992);
-        assert_eq!(costs[2].demand_bytes, 500);
-        assert_eq!(costs[2].dram_bytes, 512);
-        assert_eq!(costs[1], TierCost::default());
-        assert_eq!(costs[3], TierCost::default());
-        // Dynamic DRAM energy is linear in bytes, so the per-tier energies
-        // decompose the fine total exactly.
-        let sum_pj: f64 = costs.iter().map(|c| c.dram_pj).sum();
-        let total: u64 = costs.iter().map(|c| c.dram_bytes).sum();
-        assert!((sum_pj - m.dram.dynamic_pj(total)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn tier_pricing_falls_back_to_demand_without_transactions() {
-        let m = StreamingGsModel::default();
-        let mut l = TrafficLedger::new();
-        l.note_tier(1, 640);
-        let costs = m.price_tiers(&l);
-        assert_eq!(costs[1].dram_bytes, 640);
-        assert!((costs[1].dram_pj - m.dram.dynamic_pj(640)).abs() < 1e-9);
     }
 
     #[test]
@@ -384,25 +319,32 @@ mod tests {
     #[test]
     fn sub_burst_records_are_priced_as_whole_bursts() {
         use gs_mem::{Direction, Stage};
-        // The regression the rounding fix exists for: a 13 B VQ index
-        // record is one scattered DRAM transaction and really moves a
-        // whole 32 B burst. The pre-fix model priced raw ledger bytes and
-        // understated fine traffic by ~59 %.
+        // The regression the rounding exists for: a 13 B VQ index record
+        // is one scattered DRAM transaction and really moves a whole 32 B
+        // burst. Pricing raw demand bytes understated fine traffic by
+        // ~59 %.
         let m = StreamingGsModel::default();
         let survivors = 1_000u64;
-        let f = frame(vec![tile(4_000, survivors)]); // fine_bytes = 13 B/record
+        let mut metered = TrafficLedger::new();
+        for _ in 0..survivors {
+            metered.add_transfer(Stage::VoxelFine, Direction::Read, 13, m.dram.burst_bytes);
+        }
+        let mut w = tile(4_000, survivors);
+        w.fine_bytes = metered.get(Stage::VoxelFine, Direction::Read);
+        w.fine_dram_bytes = metered.dram(Stage::VoxelFine, Direction::Read);
+        let f = frame(vec![w]);
         let ledger = f.to_ledger();
         assert_eq!(
             ledger.get(Stage::VoxelFine, Direction::Read),
             survivors * 13,
             "demand stays at the raw record width"
         );
+        let r = m.evaluate(&f);
         assert_eq!(
-            ledger.dram(Stage::VoxelFine, Direction::Read),
-            survivors * m.dram.burst_round(13),
+            r.dram_bytes - w.coarse_dram_bytes - w.pixel_dram_bytes,
+            survivors * 32,
             "each sub-burst record must be priced as one whole burst"
         );
-        let r = m.evaluate(&f);
         assert_eq!(r.dram_bytes, ledger.dram_total());
         assert!(
             r.dram_bytes > f.dram_bytes(),

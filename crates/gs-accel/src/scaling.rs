@@ -88,7 +88,7 @@ pub fn scale_frame_workload(frame: &FrameWorkload, f: &ScaleFactors) -> FrameWor
         .tiles
         .iter()
         .map(|t| gs_voxel::TileWorkload {
-            rays: s(t.rays as u64, 1.0) as u32,
+            rays: t.rays,
             dda_steps: t.dda_steps,
             voxels_intersected: t.voxels_intersected,
             dag_edges: t.dag_edges,

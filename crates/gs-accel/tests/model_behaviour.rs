@@ -4,25 +4,37 @@
 use gs_accel::bitonic::{bitonic_sort_by_key, network_stats};
 use gs_accel::config::{AccelConfig, GpuConfig};
 use gs_accel::{GpuModel, GscoreModel, StreamingGsModel};
+use gs_mem::dram::{round_to_burst, DEFAULT_BURST_BYTES};
 use gs_render::RenderStats;
 use gs_voxel::{FrameWorkload, TileWorkload};
 
+/// A hand-built uncached tile. Its DRAM bytes are burst-rounded per
+/// transfer, the way the renderer meters them: one coarse block per
+/// processed voxel (the coarse demand split evenly), one 13 B record per
+/// coarse survivor and one pixel writeback.
 fn tile(streamed: u64) -> TileWorkload {
+    const VOXELS: u64 = 25;
+    let burst = |bytes: u64| round_to_burst(bytes, DEFAULT_BURST_BYTES);
+    let coarse_survivors = streamed * 2 / 5;
+    let coarse_bytes = streamed * 16;
     TileWorkload {
         rays: 1024,
         dda_steps: 20_000,
         voxels_intersected: 30,
         dag_edges: 45,
-        voxels_processed: 25,
+        voxels_processed: VOXELS as u32,
         gaussians_streamed: streamed,
-        coarse_survivors: streamed * 2 / 5,
+        coarse_survivors,
         fine_survivors: streamed / 3,
         max_sort_batch: 128,
         blend_lanes: streamed * 30,
         blend_fragments: streamed * 18,
-        coarse_bytes: streamed * 16,
-        fine_bytes: streamed * 2 / 5 * 13,
+        coarse_bytes,
+        fine_bytes: coarse_survivors * 13,
         pixel_bytes: 16_384,
+        coarse_dram_bytes: VOXELS * burst(coarse_bytes.div_ceil(VOXELS)),
+        fine_dram_bytes: coarse_survivors * burst(13),
+        pixel_dram_bytes: burst(16_384),
         ..Default::default()
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! One bench target per paper table/figure (`cargo bench` regenerates all of
 //! them; each prints the paper's reference numbers next to our measured
-//! ones) plus Criterion micro-benches for the compute kernels.
+//! ones).
 //!
 //! The harness runs at three workload scales selected by the
 //! `GS_BENCH_SCALE` environment variable: `tiny` (CI smoke), `small`

@@ -220,12 +220,6 @@ impl TrafficLedger {
         self.hits.iter().flatten().sum()
     }
 
-    /// `true` when the ledger carries DRAM transaction/hit accounting
-    /// (ledgers rebuilt from pre-cache workloads carry demand only).
-    pub fn has_dram_accounting(&self) -> bool {
-        self.dram_total() > 0 || self.hit_total() > 0
-    }
-
     /// Read + write bytes of one stage.
     pub fn stage_total(&self, stage: Stage) -> u64 {
         self.get(stage, Direction::Read) + self.get(stage, Direction::Write)
@@ -383,8 +377,6 @@ mod tests {
         assert_eq!(l.total(), 126);
         assert_eq!(l.dram_total(), 128);
         assert_eq!(l.hit_total(), 60);
-        assert!(l.has_dram_accounting());
-        assert!(!TrafficLedger::new().has_dram_accounting());
     }
 
     #[test]
@@ -401,7 +393,6 @@ mod tests {
         assert_eq!(m.hit_total(), 5);
         m.clear();
         assert_eq!(m, TrafficLedger::new());
-        assert!(!m.has_dram_accounting());
     }
 
     #[test]

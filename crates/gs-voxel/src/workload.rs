@@ -50,8 +50,7 @@ pub struct TileWorkload {
     /// Coarse-phase DRAM *transaction* bytes: burst-rounded per transfer,
     /// cache-miss fills only when the renderer's working-set cache is
     /// enabled. Derived from the ledger's DRAM counters, like the demand
-    /// bytes above. Zero in pre-cache workloads (the model then falls
-    /// back to demand bytes).
+    /// bytes above.
     pub coarse_dram_bytes: u64,
     /// Fine-phase DRAM transaction bytes (see `coarse_dram_bytes`).
     pub fine_dram_bytes: u64,
@@ -64,12 +63,10 @@ pub struct TileWorkload {
     pub fine_hit_bytes: u64,
     /// Fine-phase demand bytes split by quality tier (lane 0 = the
     /// full-quality column, lanes 1.. = the LOD tiers); the lanes sum to
-    /// `fine_bytes` on tiered-renderer tiles and are all-zero on legacy
-    /// tiles, where [`FrameWorkload::to_ledger`] attributes the fine
-    /// demand to tier 0.
+    /// `fine_bytes`.
     pub fine_tier_bytes: [u64; MAX_TIERS],
     /// Fine-phase DRAM transaction bytes split by quality tier (see
-    /// `fine_tier_bytes`; lanes sum to `fine_dram_bytes` on tiered tiles).
+    /// `fine_tier_bytes`; the lanes sum to `fine_dram_bytes`).
     pub fine_tier_dram_bytes: [u64; MAX_TIERS],
 }
 
@@ -111,8 +108,7 @@ impl TileWorkload {
     }
 
     /// Total DRAM *transaction* bytes this tile moved (burst-rounded,
-    /// post-cache). Zero when the workload predates DRAM transaction
-    /// accounting.
+    /// post-cache).
     pub fn dram_transaction_bytes(&self) -> u64 {
         self.coarse_dram_bytes + self.fine_dram_bytes + self.pixel_dram_bytes
     }
@@ -120,42 +116,6 @@ impl TileWorkload {
     /// Demand bytes the working-set cache served on-chip.
     pub fn cache_hit_bytes(&self) -> u64 {
         self.coarse_hit_bytes + self.fine_hit_bytes
-    }
-
-    /// `true` when this tile carries recorded DRAM transaction / cache-hit
-    /// accounting. **The** legacy predicate: [`FrameWorkload::to_ledger`]
-    /// and the accelerator's per-tile fetch term both branch on it, so
-    /// DRAM-time and energy pricing can never desynchronize.
-    pub fn has_transaction_accounting(&self) -> bool {
-        self.dram_transaction_bytes() + self.cache_hit_bytes() > 0
-    }
-
-    /// `(coarse, fine, pixel)` DRAM transaction bytes **synthesized** for
-    /// a tile recorded before transaction accounting (all `*_dram_bytes`
-    /// zero): each stage's demand is split over its known transfer count
-    /// (coarse: one burst per processed voxel; fine: one record per
-    /// coarse survivor; pixels: one writeback per tile) and each transfer
-    /// is rounded up to the default burst — exact for uniform record
-    /// sizes, the average-record approximation otherwise. Both
-    /// [`FrameWorkload::to_ledger`] and the accelerator model's fetch
-    /// term use this, so a legacy workload is priced from one consistent
-    /// byte count everywhere.
-    pub fn synthesized_dram_bytes(&self) -> (u64, u64, u64) {
-        use gs_mem::dram::{round_to_burst, DEFAULT_BURST_BYTES};
-        let synth = |bytes: u64, transfers: u64| -> u64 {
-            if bytes == 0 {
-                0
-            } else if transfers == 0 {
-                round_to_burst(bytes, DEFAULT_BURST_BYTES)
-            } else {
-                transfers * round_to_burst(bytes.div_ceil(transfers), DEFAULT_BURST_BYTES)
-            }
-        };
-        (
-            synth(self.coarse_bytes, self.voxels_processed as u64),
-            synth(self.fine_bytes, self.coarse_survivors),
-            round_to_burst(self.pixel_bytes, DEFAULT_BURST_BYTES),
-        )
     }
 
     /// Fraction of streamed Gaussians removed by hierarchical filtering
@@ -206,69 +166,26 @@ impl FrameWorkload {
 
     /// Rebuilds the frame's per-stage traffic ledger from the byte
     /// counters (coarse/fine reads + pixel writes), including the DRAM
-    /// transaction and cache-hit classes.
+    /// transaction, cache-hit and per-tier fine classes.
     ///
     /// For a freshly rendered frame this equals the measured ledger the
     /// renderer returns (the counters are derived from it); use this for
     /// *derived* workloads — extrapolated, synthetic or deserialized —
-    /// where no measured ledger exists. Tiles that predate DRAM
-    /// transaction accounting (no `*_dram_bytes`/`*_hit_bytes` recorded)
-    /// get their transaction bytes **synthesized** per tile via
-    /// [`TileWorkload::synthesized_dram_bytes`] — the same numbers the
-    /// accelerator's fetch term uses, decided tile by tile, so mixed
-    /// measured/legacy frames stay self-consistent.
+    /// where no measured ledger exists.
     pub fn to_ledger(&self) -> TrafficLedger {
         let t = self.totals();
         let mut l = TrafficLedger::new();
         l.add(Stage::VoxelCoarse, Direction::Read, t.coarse_bytes);
         l.add(Stage::VoxelFine, Direction::Read, t.fine_bytes);
         l.add(Stage::PixelOut, Direction::Write, t.pixel_bytes);
-        // Recorded-vs-synthesized is decided tile by tile, with the same
-        // predicate and synthesis the accelerator's per-tile fetch term
-        // uses ([`TileWorkload::synthesized_dram_bytes`]) — so even a
-        // frame mixing measured and legacy tiles is priced from one
-        // consistent byte count everywhere.
-        let (coarse_dram, fine_dram, pixel_dram) = {
-            let mut acc = (0u64, 0u64, 0u64);
-            for w in &self.tiles {
-                let (c, f, p) = if w.has_transaction_accounting() {
-                    (w.coarse_dram_bytes, w.fine_dram_bytes, w.pixel_dram_bytes)
-                } else {
-                    w.synthesized_dram_bytes()
-                };
-                acc = (acc.0 + c, acc.1 + f, acc.2 + p);
-            }
-            acc
-        };
-        l.note_dram(Stage::VoxelCoarse, Direction::Read, coarse_dram);
-        l.note_dram(Stage::VoxelFine, Direction::Read, fine_dram);
-        l.note_dram(Stage::PixelOut, Direction::Write, pixel_dram);
+        l.note_dram(Stage::VoxelCoarse, Direction::Read, t.coarse_dram_bytes);
+        l.note_dram(Stage::VoxelFine, Direction::Read, t.fine_dram_bytes);
+        l.note_dram(Stage::PixelOut, Direction::Write, t.pixel_dram_bytes);
         l.note_hit(Stage::VoxelCoarse, Direction::Read, t.coarse_hit_bytes);
         l.note_hit(Stage::VoxelFine, Direction::Read, t.fine_hit_bytes);
-        // Per-tier fine lanes, decided tile by tile like the DRAM bytes:
-        // tiles with recorded lanes replay them; legacy tiles (all lanes
-        // zero) attribute their whole fine phase to tier 0 — the column
-        // every pre-tier renderer actually read.
-        for w in &self.tiles {
-            if w.fine_tier_bytes == [0; MAX_TIERS] {
-                l.note_tier(0, w.fine_bytes);
-            } else {
-                for tt in 0..MAX_TIERS {
-                    l.note_tier(tt, w.fine_tier_bytes[tt]);
-                }
-            }
-            if w.fine_tier_dram_bytes == [0; MAX_TIERS] {
-                let dram = if w.has_transaction_accounting() {
-                    w.fine_dram_bytes
-                } else {
-                    w.synthesized_dram_bytes().1
-                };
-                l.note_tier_dram(0, dram);
-            } else {
-                for tt in 0..MAX_TIERS {
-                    l.note_tier_dram(tt, w.fine_tier_dram_bytes[tt]);
-                }
-            }
+        for tier in 0..MAX_TIERS {
+            l.note_tier(tier, t.fine_tier_bytes[tier]);
+            l.note_tier_dram(tier, t.fine_tier_dram_bytes[tier]);
         }
         l
     }
@@ -319,35 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn to_ledger_synthesizes_per_transfer_rounding_for_legacy_workloads() {
-        // A workload without DRAM transaction fields (pre-cache, or
-        // hand-built in tests) gets per-transfer burst rounding from its
-        // transfer counts: 1000 scattered 13 B records = 1000 bursts.
-        let mut f = FrameWorkload::default();
-        f.tiles.push(TileWorkload {
-            voxels_processed: 10,
-            coarse_survivors: 1_000,
-            coarse_bytes: 10 * 640, // ten 640 B voxel bursts (already aligned)
-            fine_bytes: 1_000 * 13,
-            pixel_bytes: 4_096,
-            ..Default::default()
-        });
-        let l = f.to_ledger();
-        assert_eq!(l.dram(Stage::VoxelCoarse, Direction::Read), 10 * 640);
-        assert_eq!(l.dram(Stage::VoxelFine, Direction::Read), 1_000 * 32);
-        assert_eq!(l.dram(Stage::PixelOut, Direction::Write), 4_096);
-        assert!(l.has_dram_accounting());
-        // Recorded fields win over synthesis and round-trip exactly.
-        f.tiles[0].coarse_dram_bytes = 7_000;
-        f.tiles[0].fine_dram_bytes = 31_968;
-        f.tiles[0].pixel_dram_bytes = 4_096;
-        f.tiles[0].coarse_hit_bytes = 123;
-        let l = f.to_ledger();
-        assert_eq!(l.dram_total(), 7_000 + 31_968 + 4_096);
-        assert_eq!(l.hit_total(), 123);
-    }
-
-    #[test]
     fn to_ledger_mirrors_byte_counters() {
         let mut f = FrameWorkload::default();
         f.tiles.push(TileWorkload {
@@ -367,5 +255,24 @@ mod tests {
         assert_eq!(l.get(Stage::VoxelFine, Direction::Read), 453);
         assert_eq!(l.get(Stage::PixelOut, Direction::Write), 80);
         assert_eq!(l.total(), f.dram_bytes());
+        // The recorded DRAM, hit and tier-lane fields round-trip exactly.
+        f.tiles[0].coarse_dram_bytes = 7_000;
+        f.tiles[0].fine_dram_bytes = 960;
+        f.tiles[1].fine_dram_bytes = 32;
+        f.tiles[0].pixel_dram_bytes = 4_096;
+        f.tiles[0].coarse_hit_bytes = 123;
+        f.tiles[1].fine_hit_bytes = 45;
+        f.tiles[0].fine_tier_bytes = [300, 0, 140, 0];
+        f.tiles[1].fine_tier_bytes = [13, 0, 0, 0];
+        f.tiles[0].fine_tier_dram_bytes = [640, 0, 320, 0];
+        f.tiles[1].fine_tier_dram_bytes = [32, 0, 0, 0];
+        let l = f.to_ledger();
+        assert_eq!(l.dram(Stage::VoxelCoarse, Direction::Read), 7_000);
+        assert_eq!(l.dram(Stage::VoxelFine, Direction::Read), 992);
+        assert_eq!(l.dram(Stage::PixelOut, Direction::Write), 4_096);
+        assert_eq!(l.hit(Stage::VoxelCoarse, Direction::Read), 123);
+        assert_eq!(l.hit(Stage::VoxelFine, Direction::Read), 45);
+        assert_eq!(l.tier_demand_all(), [313, 0, 140, 0]);
+        assert_eq!(l.tier_dram_all(), [672, 0, 320, 0]);
     }
 }
