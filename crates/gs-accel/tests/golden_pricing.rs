@@ -89,7 +89,7 @@ const CASES: [Case; 7] = [
 fn priced_digest(model: &StreamingGsModel, case: &Case) -> u32 {
     let scene = case.kind.build(&SceneConfig::tiny());
     let cam = &scene.eval_cameras[0];
-    let config = StreamingConfig {
+    let mut config = StreamingConfig {
         voxel_size: scene.voxel_size,
         use_vq: case.use_vq,
         vq: VqConfig::tiny(),
@@ -97,15 +97,10 @@ fn priced_digest(model: &StreamingGsModel, case: &Case) -> u32 {
         cache: case.cache.then(CacheConfig::default),
         ..Default::default()
     };
-    let config = if case.tiers {
-        StreamingConfig {
-            tiers: StreamingConfig::default_tier_ladder(),
-            quality: QualityPolicy::ScreenSpaceError { threshold: 64.0 },
-            ..config
-        }
-    } else {
-        config
-    };
+    if case.tiers {
+        config.tiers = StreamingConfig::default_tier_ladder();
+        config.quality = QualityPolicy::ScreenSpaceError { threshold: 64.0 };
+    }
     let row = case.row;
     let out = StreamingScene::new(scene.trained.clone(), config).render(cam);
     if case.cache {
