@@ -151,7 +151,7 @@ fn march<F: FnMut(Cell, usize)>(grid: &VoxelGrid, ray: &Ray, max_steps: u32, mut
         } else {
             0.0
         };
-        let mut c = ((entry[a] + nudge - grid_org[a]) / vs).floor() as i32;
+        let mut c = floor_i32((entry[a] + nudge - grid_org[a]) / vs);
         let hi = dims[a] - 1;
         if c < 0 {
             // At (or within float fuzz of) the min face: the ray enters
@@ -231,6 +231,20 @@ fn march<F: FnMut(Cell, usize)>(grid: &VoxelGrid, ray: &Ray, max_steps: u32, mut
         }
     }
     steps
+}
+
+/// `q.floor() as i32`, without the `floorf` call that `floor` compiles
+/// to on baseline x86-64 (no SSE4.1 `roundss`): truncate, then step down
+/// where truncation rounded a negative non-integer up. Saturates and maps
+/// NaN to 0 exactly as the `as` cast does.
+#[inline]
+fn floor_i32(q: f32) -> i32 {
+    let i = q as i32;
+    if (i as f32) > q {
+        i.saturating_sub(1)
+    } else {
+        i
+    }
 }
 
 /// The pre-overhaul traversal loop, kept verbatim as the bit-exact
@@ -662,6 +676,47 @@ mod tests {
                 let expect = (z as usize * ny as usize + y as usize) * nx as usize + x as usize;
                 prop_assert_eq!(lin, expect, "index drifted at cell {:?}", (x, y, z));
             }
+        }
+    }
+
+    #[test]
+    fn floor_i32_matches_floor_cast() {
+        let two23 = 8_388_608.0f32;
+        let two31 = 2_147_483_648.0f32;
+        let cases = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            2.0,
+            -3.0,
+            1.5,
+            -1.5,
+            0.999_999_94,
+            -0.999_999_94,
+            two23,
+            -two23,
+            two23 - 0.5,
+            -(two23 - 0.5),
+            two31,
+            -two31,
+            2_147_483_520.0,
+            -2_147_483_520.0,
+            3.0e9,
+            -3.0e9,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        for q in cases {
+            assert_eq!(floor_i32(q), q.floor() as i32, "floor_i32({q:e})");
         }
     }
 

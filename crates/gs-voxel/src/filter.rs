@@ -6,7 +6,7 @@
 //! Gaussians whose exact footprint overlaps the tile (paper Sec. III-B).
 
 use gs_core::camera::Camera;
-use gs_core::ewa::Projector;
+use gs_core::ewa::{CoarseProjection, Projector};
 use gs_core::sym::Sym2;
 use gs_core::vec::{Vec2, Vec3};
 use gs_scene::Gaussian;
@@ -150,24 +150,30 @@ impl FilterCamera {
         self.proj.camera()
     }
 
-    /// Coarse filter: 4 parameters only. `None` = culled.
+    /// Coarse filter: 4 parameters only. `None` = culled. The composition
+    /// of the per-camera [`FilterCamera::coarse_projection`] and the
+    /// per-tile [`TileRect::overlaps_disc`].
     pub fn coarse_test(&self, pos: Vec3, s_max: f32, rect: &TileRect) -> Option<CoarsePass> {
-        let p = self.proj.coarse(pos, s_max)?;
-        // Corrupted inputs (a blind-read page with flipped bits decodes to
-        // arbitrary floats) must not leak a NaN/∞ disc downstream; finite
-        // projections — every uncorrupted Gaussian — are unaffected.
-        if !(p.mean_px.x.is_finite() && p.mean_px.y.is_finite() && p.radius_px.is_finite()) {
-            return None;
-        }
-        if rect.overlaps_disc(p.mean_px, p.radius_px) {
-            Some(CoarsePass {
+        let p = self.coarse_projection(pos, s_max)?;
+        rect.overlaps_disc(p.mean_px, p.radius_px)
+            .then_some(CoarsePass {
                 mean_px: p.mean_px,
                 radius_px: p.radius_px,
                 depth: p.depth,
             })
-        } else {
-            None
-        }
+    }
+
+    /// The tile-independent half of [`FilterCamera::coarse_test`]: the
+    /// coarse projection of `(pos, s_max)` through this camera, `None`
+    /// when it is culled whatever the tile. A pure function of the camera
+    /// and the four inputs, so a caller may reuse its result for every
+    /// tile of a frame.
+    pub fn coarse_projection(&self, pos: Vec3, s_max: f32) -> Option<CoarseProjection> {
+        let p = self.proj.coarse(pos, s_max)?;
+        // Corrupted inputs (a blind-read page with flipped bits decodes to
+        // arbitrary floats) must not leak a NaN/∞ disc downstream; finite
+        // projections — every uncorrupted Gaussian — are unaffected.
+        (p.mean_px.x.is_finite() && p.mean_px.y.is_finite() && p.radius_px.is_finite()).then_some(p)
     }
 
     /// Fine filter: full parameters, precise projection + exact tile test.

@@ -584,7 +584,7 @@ struct ColumnCrc {
 #[derive(Debug, Default)]
 struct PageState {
     /// Materialized pages (whole slots each; the tail page may be short).
-    pages: Vec<Option<Box<[u8]>>>,
+    pages: Vec<Option<Vec<u8>>>,
     /// LRU stamp per page.
     stamp: Vec<u64>,
     /// Indices of the resident pages (≤ budget entries when bounded), so
@@ -731,8 +731,10 @@ impl PagedColumn {
 
     /// Materializes `page` if absent: evicts the least-recently-used
     /// resident page when a budget is set (an O(budget) scan of the
-    /// resident list; stamps are unique, so the victim is deterministic),
-    /// then fills the page with up to [`PageConfig::max_read_attempts`]
+    /// resident list; stamps are unique, so the victim is deterministic)
+    /// and recycles the victim's buffer for the new page, so a bounded
+    /// column's warm faults allocate nothing; then fills the page with up
+    /// to [`PageConfig::max_read_attempts`]
     /// verified reads. Permanent faults mark the page dead; with a
     /// replica attached, a dead page is re-fetched (and CRC-re-verified)
     /// from it instead of failing fast — healing is counted, never
@@ -756,6 +758,7 @@ impl PagedColumn {
         } else {
             None
         };
+        let mut bytes = Vec::new();
         let budget = self.config.max_resident_pages as usize;
         if budget > 0 && st.resident_ids.len() >= budget {
             let mut at = 0usize;
@@ -765,12 +768,14 @@ impl PagedColumn {
                 }
             }
             let victim = st.resident_ids.swap_remove(at);
-            st.pages[victim] = None;
+            bytes = st.pages[victim].take().unwrap_or_default();
         }
         let spp = self.config.slots_per_page as usize;
         let first_slot = page * spp;
         let n_slots = spp.min(self.slots - first_slot);
-        let mut bytes = vec![0u8; n_slots * self.record_bytes].into_boxed_slice();
+        // Every fill overwrites the whole page, so a recycled buffer's old
+        // bytes never survive into it.
+        bytes.resize(n_slots * self.record_bytes, 0);
         if let Some(replica) = heal_from {
             // Healing path: a single verified fill from the replica (no
             // retry loop — the replica is the last resort; its fill is
@@ -849,8 +854,9 @@ impl PagedColumn {
     /// One fill attempt from `source` (the primary, or the attached
     /// replica when healing). With checksums on, reads the chunk-aligned
     /// cover of the page's slots into `verify`, checks every covered
-    /// chunk's CRC, and copies the page's window out; otherwise reads the
-    /// page directly.
+    /// chunk's CRC, and copies the page's window out — or, when the cover
+    /// is exactly the page, reads and checks it in `out` directly;
+    /// otherwise reads the page directly.
     fn fill_page(
         &self,
         source: &PageSource,
@@ -874,21 +880,29 @@ impl PagedColumn {
         let c1 = (first_slot + n_slots).div_ceil(cs).min(crc.chunks.len());
         let cover_first = c0 * cs;
         let cover_last = (c1 * cs).min(self.slots);
-        verify.clear();
-        verify.resize((cover_last - cover_first) * rb, 0);
+        let exact = cover_first == first_slot && cover_last == first_slot + n_slots;
+        let cover: &mut [u8] = if exact {
+            out
+        } else {
+            verify.clear();
+            verify.resize((cover_last - cover_first) * rb, 0);
+            verify
+        };
         source
-            .read_page(self.offset + (cover_first * rb) as u64, verify, attempt)
+            .read_page(self.offset + (cover_first * rb) as u64, cover, attempt)
             .map_err(FillError::from)?;
         for c in c0..c1 {
             let s0 = c * cs;
             let s1 = ((c + 1) * cs).min(self.slots);
-            let window = &verify[(s0 - cover_first) * rb..(s1 - cover_first) * rb];
+            let window = &cover[(s0 - cover_first) * rb..(s1 - cover_first) * rb];
             if crc32(window) != crc.chunks[c] {
                 return Err(FillError::Corrupt(c as u64));
             }
         }
-        let from = (first_slot - cover_first) * rb;
-        out.copy_from_slice(&verify[from..from + n_slots * rb]);
+        if !exact {
+            let from = (first_slot - cover_first) * rb;
+            out.copy_from_slice(&verify[from..from + n_slots * rb]);
+        }
         Ok(())
     }
 

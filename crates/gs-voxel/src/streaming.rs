@@ -75,7 +75,7 @@ use crate::workload::{FrameWorkload, TileWorkload};
 use gs_core::camera::Camera;
 use gs_core::ewa::FalloffColumns;
 use gs_core::image::ImageRgb;
-use gs_core::vec::Vec3;
+use gs_core::vec::{Vec2, Vec3};
 use gs_mem::cache::{AccessOutcome, CacheConfig, CacheReport, CacheStats, WorkingSetCache};
 use gs_mem::dram::{round_to_burst, DEFAULT_BURST_BYTES};
 use gs_mem::{Direction, Stage, TrafficLedger, MAX_TIERS};
@@ -866,9 +866,28 @@ impl StreamingScene {
             cache,
             tier_map,
             prev_tiers,
+            frame,
         } = &mut *guard;
         if workers.len() < jobs {
             workers.resize_with(jobs, WorkerScratch::default);
+        }
+        // A fresh stamp for the coarse memos: entries of earlier frames
+        // (earlier cameras) never match. When the u32 counter wraps, old
+        // stamps could alias, so every memo forgets its entries once.
+        *frame = frame.wrapping_add(1);
+        if *frame == 0 {
+            for w in workers.iter_mut() {
+                w.memo.reset();
+            }
+            *frame = 1;
+        }
+        let memo_slots = if self.config.use_coarse_filter {
+            self.store.len()
+        } else {
+            0
+        };
+        for w in &mut workers[..jobs] {
+            w.memo.begin_frame(*frame, memo_slots);
         }
         if groups.len() < n_groups {
             groups.resize_with(n_groups, GroupOut::default);
@@ -1217,6 +1236,7 @@ impl StreamingScene {
             survivors,
             splats,
             blend,
+            memo,
         } = scratch;
         let GroupOut {
             pixels,
@@ -1319,8 +1339,12 @@ impl StreamingScene {
             // One whole-voxel coarse burst, traced for the frame-end meter.
             trace.push(TraceOp::Coarse(vid));
             if self.config.use_coarse_filter {
+                // `coarse_test` split in two: the camera-only projection,
+                // memoized per slot for the frame, then this group's
+                // disc-rect overlap.
                 survivors.extend(column.filter_map(|(slot, pos, s_max)| {
-                    view.coarse_test(pos, s_max, &rect).map(|_| slot)
+                    let (mean_px, radius_px) = memo.projection(view, slot, pos, s_max)?;
+                    rect.overlaps_disc(mean_px, radius_px).then_some(slot)
                 }));
             } else {
                 // No CGF: the whole record is streamed for every Gaussian.
@@ -1462,6 +1486,9 @@ struct StreamScratch {
     /// own frame sequence. Empty before the first tiered frame and after
     /// [`StreamingScene::set_quality`].
     prev_tiers: Vec<u8>,
+    /// Frames rendered so far (wrapping, never 0 once a frame started):
+    /// the stamp of this frame's [`CoarseMemo`] entries.
+    frame: u32,
 }
 
 /// One working-set cache per cached pipeline stage.
@@ -1509,8 +1536,9 @@ enum TraceOp {
 }
 
 /// Reusable working buffers of one group-rendering job: whichever groups
-/// the job claims reuse them in turn. Nothing here outlives a group, so
-/// which worker renders which group never shows in the output.
+/// the job claims reuse them in turn. Nothing here but the memo of a
+/// pure function outlives a group, so which worker renders which group
+/// never shows in the output.
 #[derive(Debug, Default)]
 struct WorkerScratch {
     /// The current group's DDA ray lists.
@@ -1528,6 +1556,8 @@ struct WorkerScratch {
     splats: Vec<(u32, FineSplat)>,
     /// Persistent partial-pixel state across the group's voxels.
     blend: GroupBlender,
+    /// This frame's coarse projections, per store slot.
+    memo: CoarseMemo,
 }
 
 impl WorkerScratch {
@@ -1545,6 +1575,79 @@ impl WorkerScratch {
         reserve_to(&mut self.survivors, peer.survivors.capacity());
         reserve_to(&mut self.splats, peer.splats.capacity());
         self.blend.cols.0.reserve_like(&peer.blend.cols.0);
+    }
+}
+
+/// One memoized coarse projection (32 B): the frame it belongs to, the
+/// record's four `f32` bit patterns, and the projected disc — a NaN
+/// `radius_px` when the projection culled the record.
+#[derive(Copy, Clone, Debug, Default)]
+struct CoarseMemoEntry {
+    /// The frame stamp; 0 (the default) matches no frame.
+    frame: u32,
+    /// `pos.x`, `pos.y`, `pos.z`, `s_max` bit patterns.
+    bits: [u32; 4],
+    mean_px: Vec2,
+    radius_px: f32,
+}
+
+const _: () = assert!(std::mem::size_of::<CoarseMemoEntry>() == 32);
+
+/// A worker's memo of [`FilterCamera::coarse_projection`], indexed by
+/// store slot. Every group that crosses a voxel streams it again, and the
+/// projection depends only on the frame's camera and the record, so one
+/// computation per slot per frame serves every group the worker renders.
+/// An entry is reused only when its frame stamp and its record bits both
+/// match: the key is the function's full input, so the memo is exact by
+/// construction — also when an unverified blind read returns different
+/// bytes for one slot.
+#[derive(Debug, Default)]
+struct CoarseMemo {
+    /// The current frame's stamp (≥ 1).
+    frame: u32,
+    entries: Vec<CoarseMemoEntry>,
+}
+
+impl CoarseMemo {
+    /// Starts frame `frame` (≥ 1) over `slots` store slots. Sizing every
+    /// job's memo here keeps warm frames allocation-free whichever worker
+    /// claims which group.
+    fn begin_frame(&mut self, frame: u32, slots: usize) {
+        self.frame = frame;
+        self.entries.resize(slots, CoarseMemoEntry::default());
+    }
+
+    /// Forgets every entry (the frame counter wrapped).
+    fn reset(&mut self) {
+        self.entries.fill(CoarseMemoEntry::default());
+    }
+
+    /// `view`'s coarse projection of slot `slot`'s record
+    /// `(pos, s_max)` as `(mean_px, radius_px)`; `None` when culled.
+    fn projection(
+        &mut self,
+        view: &FilterCamera,
+        slot: u32,
+        pos: Vec3,
+        s_max: f32,
+    ) -> Option<(Vec2, f32)> {
+        let bits = [
+            pos.x.to_bits(),
+            pos.y.to_bits(),
+            pos.z.to_bits(),
+            s_max.to_bits(),
+        ];
+        let e = &mut self.entries[slot as usize];
+        if e.frame != self.frame || e.bits != bits {
+            let p = view.coarse_projection(pos, s_max);
+            *e = CoarseMemoEntry {
+                frame: self.frame,
+                bits,
+                mean_px: p.map_or(Vec2::ZERO, |p| p.mean_px),
+                radius_px: p.map_or(f32::NAN, |p| p.radius_px),
+            };
+        }
+        (!e.radius_px.is_nan()).then_some((e.mean_px, e.radius_px))
     }
 }
 
@@ -2536,6 +2639,81 @@ mod tests {
             s.render_into(cam, &mut out);
             let fresh = s.render(cam);
             outputs_identical(&out, &fresh);
+        }
+    }
+
+    #[test]
+    fn coarse_memo_recomputes_on_new_record_bits_and_new_frames() {
+        let cam_a = test_cam();
+        let cam_b = Camera::look_at(Vec3::new(1.5, 0.5, -5.0), Vec3::ZERO, Vec3::Y, 64, 64, 0.9);
+        let (va, vb) = (FilterCamera::new(&cam_a), FilterCamera::new(&cam_b));
+        let fresh = |v: &FilterCamera, pos: Vec3, s_max: f32| {
+            v.coarse_projection(pos, s_max)
+                .map(|p| (p.mean_px, p.radius_px))
+        };
+        let (pos, s_max) = (Vec3::new(0.3, -0.2, 0.1), 0.05);
+        let pos2 = Vec3::new(0.3, -0.2, 0.100_001);
+        assert!(fresh(&va, pos, s_max).is_some());
+        assert_ne!(fresh(&va, pos, s_max), fresh(&vb, pos, s_max));
+        assert_ne!(fresh(&vb, pos, s_max), fresh(&vb, pos2, s_max));
+
+        let mut memo = CoarseMemo::default();
+        memo.begin_frame(1, 4);
+        assert_eq!(memo.projection(&va, 2, pos, s_max), fresh(&va, pos, s_max));
+        // Same frame, same slot, same bits: a hit. (The view is fixed per
+        // frame in the renderer; a different one here only shows that the
+        // stored value came back.)
+        assert_eq!(memo.projection(&vb, 2, pos, s_max), fresh(&va, pos, s_max));
+        // Same frame, same slot, different record bits: recomputed — also
+        // for bits that differ in `s_max` alone.
+        assert_eq!(
+            memo.projection(&vb, 2, pos2, s_max),
+            fresh(&vb, pos2, s_max)
+        );
+        let s_other = f32::from_bits(s_max.to_bits() + 1);
+        assert_eq!(
+            memo.projection(&vb, 2, pos2, s_other),
+            fresh(&vb, pos2, s_other)
+        );
+        // The next frame: same slot, same bits, recomputed (new camera).
+        memo.begin_frame(2, 4);
+        assert_eq!(
+            memo.projection(&va, 2, pos2, s_other),
+            fresh(&va, pos2, s_other)
+        );
+        // A culled record memoizes as culled, and a hit keeps it culled.
+        let behind = Vec3::new(0.0, 0.0, -9.0);
+        assert_eq!(fresh(&va, behind, s_max), None);
+        assert_eq!(memo.projection(&va, 3, behind, s_max), None);
+        assert_eq!(memo.projection(&va, 3, behind, s_max), None);
+        // A reset (the frame counter wrapped) forgets every entry.
+        memo.reset();
+        memo.begin_frame(2, 4);
+        assert_eq!(
+            memo.projection(&vb, 2, pos2, s_other),
+            fresh(&vb, pos2, s_other)
+        );
+    }
+
+    #[test]
+    fn frame_stamp_wrap_keeps_frames_identical() {
+        let scene = SceneKind::Lego.build(&SceneConfig::tiny());
+        let config = StreamingConfig {
+            voxel_size: scene.voxel_size,
+            threads: 2,
+            ..Default::default()
+        };
+        let s = StreamingScene::new(scene.trained.clone(), config);
+        let reference = StreamingScene::new(scene.trained.clone(), config);
+        let cams = &scene.eval_cameras;
+        // Frame 1 memoizes camera 0; the counter then wraps back to 1, and
+        // another camera must not hit camera 0's stale entries.
+        s.render(&cams[0]);
+        lock_unpoisoned(&s.scratch).frame = u32::MAX;
+        for (i, cam) in [&cams[1], &cams[0], &cams[1]].into_iter().enumerate() {
+            let out = s.render(cam);
+            assert_eq!(lock_unpoisoned(&s.scratch).frame, i as u32 + 1);
+            outputs_identical(&out, &reference.render(cam));
         }
     }
 }

@@ -9,7 +9,8 @@
 //! renders a group, it must not grow a buffer). Paged stores are covered
 //! too: after the page set and the staging
 //! buffer pool warmed up, paged coarse fetches (and whole paged frames)
-//! allocate nothing either.
+//! allocate nothing either — also under a page budget that keeps faulting,
+//! where every fault fills the evicted page's recycled buffer.
 //!
 //! The counting allocator is process-global, so this lives in its own
 //! integration-test binary with a **single** `#[test]` that runs the cases
@@ -49,16 +50,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
-/// Renders `frames` warm frames and returns the allocations they made.
-fn allocs_over_warm_frames(scene: &StreamingScene, frames: u32) -> u64 {
-    let cam = gs_core::camera::Camera::look_at(
+/// The measured camera.
+fn cam() -> gs_core::camera::Camera {
+    gs_core::camera::Camera::look_at(
         gs_core::vec::Vec3::new(0.4, 0.3, -7.5),
         gs_core::vec::Vec3::ZERO,
         gs_core::vec::Vec3::Y,
         160,
         120,
         0.9,
-    );
+    )
+}
+
+/// Renders `frames` warm frames and returns the allocations they made.
+fn allocs_over_warm_frames(scene: &StreamingScene, frames: u32) -> u64 {
+    let cam = cam();
     let mut out = StreamingOutput::default();
     // Warm-up: grows every scratch buffer, the output's buffers, and (for
     // cached configs) the working-set cache's per-set tag lists.
@@ -119,6 +125,27 @@ fn paged_case() -> u64 {
     allocs_over_warm_frames(&scene, 4)
 }
 
+fn bounded_paged_case() -> u64 {
+    // Four resident pages, checksums verified: every warm frame evicts
+    // and refills pages, each fault recycling its victim's buffer and the
+    // column's verification staging.
+    let mut scene = scene_with(None);
+    scene.page_out(PageConfig {
+        slots_per_page: 64,
+        max_resident_pages: 4,
+        verify_checksums: true,
+        ..PageConfig::default()
+    });
+    let allocs = allocs_over_warm_frames(&scene, 4);
+    let faults = scene.store().page_faults();
+    scene.render(&cam());
+    assert!(
+        scene.store().page_faults() > faults + 4,
+        "bounded paged case: a warm frame must keep faulting"
+    );
+    allocs
+}
+
 fn paged_coarse_fetch_case() -> u64 {
     // The satellite fix in isolation: paged `fetch_coarse` used to build
     // one staging `Vec` per voxel; the return-on-drop buffer pool makes
@@ -174,6 +201,11 @@ fn warm_streaming_paths_perform_zero_allocations() {
         paged_case(),
         0,
         "paged case: steady-state paged streaming render must not allocate"
+    );
+    assert_eq!(
+        bounded_paged_case(),
+        0,
+        "bounded paged case: warm faults must recycle evicted page buffers"
     );
     assert_eq!(
         paged_coarse_fetch_case(),
